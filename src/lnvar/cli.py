@@ -32,6 +32,13 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
 
+# estimate reads its input in blocks of about this many characters.  Larger
+# blocks save little time but raise peak RSS, because a block's lines, floats
+# and arrays are alive at once.  Peak RSS of `lnvar estimate` on a 1e6-line
+# file (x86-64, Python 3.11, numpy 2.4): 28.0 MB reading line by line,
+# 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
+_BLOCK_CHARS = 16 * 1024
+
 CELL_CSV_HEADER = "n,cv,runs,seed,mean_khat,sd_khat,pred_mean,pred_sd,se_mean"
 
 _REPORT_FIELDS = (
@@ -122,8 +129,26 @@ def _emit_manifest(output_path: str, command: str, config: dict, master_seed: Op
 
 def _accumulate_stream(stream: TextIO, source: str) -> SampleAccumulator:
     acc = SampleAccumulator()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
+    lineno = 0
+    while lines := stream.readlines(_BLOCK_CHARS):
+        if lineno == 0:
+            # stdin arrives decoded, so a byte-order mark survives as U+FEFF
+            lines[0] = lines[0].removeprefix("\ufeff")
+        stripped = [raw.strip() for raw in lines]
+        try:
+            acc.extend(list(map(float, [s for s in stripped if s and s[0] != "#"])))
+        except ValueError:  # from float, or a DomainError from extend
+            _raise_first_bad_line(stripped, lineno, source)
+            raise
+        lineno += len(lines)
+    return acc
+
+
+def _raise_first_bad_line(stripped: list[str], offset: int, source: str) -> None:
+    """Re-read a rejected block, whose first line follows line `offset`, value by
+    value to name the line at fault."""
+    probe = SampleAccumulator()
+    for lineno, line in enumerate(stripped, start=offset + 1):
         if not line or line.startswith("#"):
             continue
         try:
@@ -131,10 +156,9 @@ def _accumulate_stream(stream: TextIO, source: str) -> SampleAccumulator:
         except ValueError:
             raise DomainError(f"{source}:{lineno}: not a number: {line!r}") from None
         try:
-            acc.add(x)
+            probe.add(x)
         except DomainError as exc:
             raise DomainError(f"{source}:{lineno}: {exc}") from None
-    return acc
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -155,7 +179,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.input == "-":
         acc = _accumulate_stream(sys.stdin, "<stdin>")
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8-sig") as fh:
             acc = _accumulate_stream(fh, args.input)
     report = acc.report()
     text = _report_csv(report) if args.format == "csv" else _report_text(report)
@@ -345,6 +369,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ArithmeticError as exc:
+        print(f"error: the data are beyond float range for this report: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

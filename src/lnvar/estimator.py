@@ -2,10 +2,13 @@
 
 The accumulator keeps just enough running sums to read out the arithmetic,
 harmonic and geometric means, the relative mean ratio, and a conventional
-moment-based squared coefficient of variation.  sum_x and sum_inv_x are kept
-with Neumaier compensated summation: reciprocals of a widely spread sample
-span many orders of magnitude, and naive accumulation visibly biases the
-harmonic mean once samples reach the millions.
+moment-based squared coefficient of variation.  Values arrive in blocks (a
+1-D array per call to extend); each block's sum_x and sum_inv_x is taken
+exactly (Shewchuk summation via math.fsum) and folded into a Neumaier
+compensated running pair.  Reciprocals of a widely spread sample span many
+orders of magnitude, and naive accumulation visibly biases the harmonic mean
+once samples reach the millions.  sum_x2 stays a plain left-to-right running
+sum.
 
 Alongside the data-facing estimators, this module holds the closed-form
 population predictions for the ratio statistic: its expected value, its
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 from .errors import DomainError, EmptySampleError, SampleTooSmallError
 
@@ -54,6 +59,19 @@ def _comp_add(s: float, c: float, x: float) -> tuple[float, float]:
     else:
         c += (x - t) + s
     return t, c
+
+
+def _reciprocals(xs: np.ndarray) -> np.ndarray:
+    """1/xs, after checking every value is a positive real with a finite reciprocal."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / xs
+    bad = ~((xs > 0.0) & np.isfinite(xs) & np.isfinite(inv))
+    if bad.any():
+        x = float(xs[bad.argmax()])
+        if 0.0 < x < math.inf:
+            raise DomainError(f"{x!r} is too close to 0: its reciprocal overflows a float")
+        raise DomainError(f"lognormal support is positive reals, got {x}")
+    return inv
 
 
 @dataclass(frozen=True)
@@ -96,8 +114,9 @@ class SampleAccumulator:
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "SampleAccumulator":
         acc = cls()
-        for x in values:
-            acc.add(x)
+        if not isinstance(values, np.ndarray):
+            values = np.fromiter(values, dtype=np.float64)
+        acc.extend(values)
         return acc
 
     def __repr__(self) -> str:
@@ -119,14 +138,27 @@ class SampleAccumulator:
         return self._sx2
 
     def add(self, x: float) -> None:
-        """Fold one observation in; rejects anything off the positive reals."""
-        x = float(x)
-        if not math.isfinite(x) or x <= 0.0:
-            raise DomainError(f"lognormal support is positive reals, got {x}")
-        self._sx, self._sx_c = _comp_add(self._sx, self._sx_c, x)
-        self._sinv, self._sinv_c = _comp_add(self._sinv, self._sinv_c, 1.0 / x)
-        self._sx2 += x * x
-        self.n += 1
+        """Fold one observation in; rejects anything off the positive reals,
+        or too close to 0 for its reciprocal to be a finite float."""
+        self.extend(np.array([float(x)]))
+
+    def extend(self, xs: np.ndarray | Sequence[float]) -> None:
+        """Fold a 1-D block of observations in.
+
+        The whole block is validated before any sum changes, so a rejected
+        block leaves the accumulator as it was.
+        """
+        xs = np.asarray(xs, dtype=np.float64).ravel()
+        if xs.size == 0:
+            return
+        inv = _reciprocals(xs)
+        self._sx, self._sx_c = _comp_add(self._sx, self._sx_c, math.fsum(xs.tolist()))
+        self._sinv, self._sinv_c = _comp_add(self._sinv, self._sinv_c, math.fsum(inv.tolist()))
+        # left to right from the running value, exactly as one add per value
+        sq = xs * xs
+        sq[0] += self._sx2
+        self._sx2 = float(np.cumsum(sq, out=sq)[-1])
+        self.n += xs.size
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Component-wise combination; commutative, with the empty accumulator as identity."""

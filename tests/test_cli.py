@@ -4,12 +4,16 @@ import math
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from lnvar.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _BLOCK_CHARS,
     cells_to_csv,
     fsig,
     main,
@@ -103,6 +107,62 @@ class TestEstimate:
         code, out, _ = run_main(["estimate"], capsys)
         assert code == EXIT_OK
         assert parse_text_report(out)["k_hat"] == 1.125
+
+    def test_overflowing_reciprocal_names_line(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("5e-324\n1e-323\n")
+        code, _, err = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_DATA
+        assert ":1:" in err and "reciprocal overflows" in err
+
+    def test_underflowing_moment_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("1e-170\n2e-170\n4e-170\n")
+        code, _, err = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, monkeypatch):
+        text = "# values\n1\n2\n4\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        reference = run_main(["estimate", str(plain)], capsys)
+        assert reference[0] == EXIT_OK
+        assert run_main(["estimate", str(marked)], capsys) == reference
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
+        assert run_main(["estimate"], capsys) == reference
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("bad", ["banana", "-4"])
+    def test_bad_line_past_first_block(self, tmp_path, capsys, monkeypatch, source, bad):
+        rng = np.random.default_rng(8)
+        lines = [repr(x) + "\n" for x in np.exp(rng.normal(0.0, 2.0, size=6000)).tolist()]
+        lines[5000] = bad + "\n"
+        assert len("".join(lines[:5000])) > _BLOCK_CHARS
+        if source == "file":
+            data = tmp_path / "data.txt"
+            data.write_text("".join(lines))
+            argv = ["estimate", str(data)]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
+            argv = ["estimate"]
+        code, _, err = run_main(argv, capsys)
+        assert code == EXIT_DATA
+        assert ":5001:" in err
+
+    def test_multi_block_file_matches_exact_sums(self, tmp_path, capsys):
+        values = np.exp(np.random.default_rng(12).normal(0.0, 2.0, size=10**5))
+        data = tmp_path / "data.txt"
+        data.write_text("".join(repr(x) + "\n" for x in values.tolist()))
+        code, out, _ = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_OK
+        fields = parse_text_report(out)
+        n = values.size
+        assert fields["n"] == n
+        assert rel_diff(fields["a_n"], math.fsum(values) / n) <= 1e-15
+        assert rel_diff(fields["h_n"], n / math.fsum(1.0 / values)) <= 1e-15
 
 
 class TestSample:

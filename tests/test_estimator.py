@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,47 @@ class TestAccumulate:
         with pytest.raises(DomainError, match="positive"):
             acc.add(bad)
         assert acc.n == 0
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-323])
+    def test_rejects_overflowing_reciprocal(self, tiny):
+        acc = SampleAccumulator.from_values([2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="reciprocal overflows"):
+                acc.add(tiny)
+            with pytest.raises(DomainError, match="reciprocal overflows"):
+                acc.extend(np.array([1.0, tiny, 3.0]))
+        assert (acc.n, acc.sum_x, acc.sum_inv_x, acc.sum_x2) == (1, 2.0, 0.5, 4.0)
+
+    def test_rejected_block_names_first_bad_value(self):
+        with pytest.raises(DomainError, match="got -2.0"):
+            SampleAccumulator().extend(np.array([1.0, -2.0, math.nan]))
+
+    def test_from_values_accepts_list_array_and_generator(self):
+        values = np.exp(np.random.default_rng(5).normal(0.0, 2.0, size=1000))
+        accs = [
+            SampleAccumulator.from_values(values.tolist()),
+            SampleAccumulator.from_values(values),
+            SampleAccumulator.from_values(float(x) for x in values),
+        ]
+        sums = {(a.n, a.sum_x, a.sum_inv_x, a.sum_x2) for a in accs}
+        assert len(sums) == 1
+
+    def test_blocks_match_per_value_reference(self):
+        # sum_x2 keeps the per-value arithmetic, so it matches a plain loop
+        # exactly; sum_x and sum_inv_x are exact per block, so they stay
+        # within an ulp or two of exact summation however the blocks fall
+        values = np.exp(np.random.default_rng(6).normal(0.0, 2.0, size=5000))
+        acc = SampleAccumulator()
+        for block in np.array_split(values, [1, 1, 2, 700, 701, 3000]):
+            acc.extend(block)
+        sum_x2 = 0.0
+        for x in values.tolist():
+            sum_x2 += x * x
+        assert acc.n == values.size
+        assert acc.sum_x2 == sum_x2
+        assert rel_diff(acc.sum_x, math.fsum(values)) <= 4e-16
+        assert rel_diff(acc.sum_inv_x, math.fsum(1.0 / values)) <= 4e-16
 
     def test_compensated_sums_track_exact_reference(self):
         # widely spread values: sums must stay within a couple ulps of
