@@ -176,11 +176,15 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.input == "-":
-        acc = _accumulate_stream(sys.stdin, "<stdin>")
-    else:
-        with open(args.input, "r", encoding="utf-8-sig") as fh:
-            acc = _accumulate_stream(fh, args.input)
+    source = "<stdin>" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            acc = _accumulate_stream(sys.stdin, source)
+        else:
+            with open(args.input, "r", encoding="utf-8-sig") as fh:
+                acc = _accumulate_stream(fh, source)
+    except UnicodeDecodeError:
+        raise DomainError(f"{source}: not valid UTF-8") from None
     report = acc.report()
     text = _report_csv(report) if args.format == "csv" else _report_text(report)
     sys.stdout.write(text)

@@ -20,6 +20,7 @@ for collectively measured means.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -59,6 +60,13 @@ def _comp_add(s: float, c: float, x: float) -> tuple[float, float]:
     else:
         c += (x - t) + s
     return t, c
+
+
+def _finite(value: float, quantity: str) -> float:
+    """value, or OverflowError naming the quantity when it left the float range."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{quantity} overflows a float")
+    return value
 
 
 def _reciprocals(xs: np.ndarray) -> np.ndarray:
@@ -154,10 +162,12 @@ class SampleAccumulator:
         inv = _reciprocals(xs)
         self._sx, self._sx_c = _comp_add(self._sx, self._sx_c, math.fsum(xs.tolist()))
         self._sinv, self._sinv_c = _comp_add(self._sinv, self._sinv_c, math.fsum(inv.tolist()))
-        # left to right from the running value, exactly as one add per value
-        sq = xs * xs
-        sq[0] += self._sx2
-        self._sx2 = float(np.cumsum(sq, out=sq)[-1])
+        # left to right from the running value, exactly as one add per value;
+        # a sum of squares that overflows is reported by cv2_conventional
+        with np.errstate(over="ignore"):
+            sq = xs * xs
+            sq[0] += self._sx2
+            self._sx2 = float(np.cumsum(sq, out=sq)[-1])
         self.n += xs.size
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
@@ -188,9 +198,12 @@ class SampleAccumulator:
         return self.n / self.sum_inv_x
 
     def relative_ratio(self) -> float:
-        """Arithmetic-to-harmonic mean ratio minus one, clamped at 0 against fp residue."""
+        """Arithmetic-to-harmonic mean ratio minus one, clamped at 0 against fp residue.
+
+        Raises OverflowError when the ratio is beyond float range.
+        """
         self._require(1)
-        ratio = (self.sum_x * self.sum_inv_x) / (self.n * self.n)
+        ratio = _finite((self.sum_x * self.sum_inv_x) / (self.n * self.n), "relative_ratio")
         return max(0.0, ratio - 1.0)
 
     def k_hat(self) -> float:
@@ -200,18 +213,23 @@ class SampleAccumulator:
         population; undefined at n = 1 where the correction factor blows up.
         """
         self._require(2)
-        return (self.n / (self.n - 1.0)) * self.relative_ratio()
+        return _finite((self.n / (self.n - 1.0)) * self.relative_ratio(), "k_hat")
 
     def g_hat(self) -> float:
         """Geometric-mean estimate sqrt(A_n * H_n); consistent, between the two means."""
         self._require(1)
-        return math.sqrt(self.arithmetic_mean() * self.harmonic_mean())
+        a, h = self.arithmetic_mean(), self.harmonic_mean()
+        product = a * h
+        if sys.float_info.min <= product < math.inf:
+            return math.sqrt(product)
+        # the product over- or underflows; the split form stays in range
+        return math.sqrt(a) * math.sqrt(h)
 
     def cv2_conventional(self) -> float:
         """Moment-based comparison estimate: unbiased sample variance over squared mean."""
         self._require(2)
         a = self.arithmetic_mean()
-        var = (self._sx2 - self.n * a * a) / (self.n - 1)
+        var = _finite((self._sx2 - self.n * a * a) / (self.n - 1), "cv2_conventional")
         # near-constant samples can leave a tiny negative fp residue
         return max(0.0, var) / (a * a)
 

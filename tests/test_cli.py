@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,33 @@ class TestEstimate:
         assert run_main(["estimate", str(marked)], capsys) == reference
         monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
         assert run_main(["estimate"], capsys) == reference
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys, monkeypatch, source):
+        raw = b"1\n\xff\n4\n"
+        if source == "file":
+            data = tmp_path / "data.txt"
+            data.write_bytes(raw)
+            argv, name = ["estimate", str(data)], str(data)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+            argv, name = ["estimate"], "<stdin>"
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {name}: not valid UTF-8\n"
+
+    def test_overflowing_moment_is_a_data_error(self, tmp_path, capsys):
+        # the sum of squares overflows: no silent cv2_conventional = 0, no
+        # numpy warning
+        data = tmp_path / "data.txt"
+        data.write_text("1e155\n2e155\n4e155\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and "cv2_conventional" in err
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("bad", ["banana", "-4"])
@@ -297,6 +326,26 @@ class TestSimulate:
         assert args.cv == "0.1,0.5,1.0"
         assert args.runs is None
         assert args.runs_cap == 10**6
+
+
+class TestGoldenDigests:
+    """SHA-256 of output bytes, so that any change to them is deliberate."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["simulate", "--n", "2,10,100", "--cv", "0.1,0.5,1.0", "--runs", "2000", "--seed", "7"],
+                "0afea9c1a04d0a3f83d968c251e20c8a1bf35d023a4c64da6883787993485069",
+            ),
+            (["efficiency"], "16f7ee5ab51fd5ac673dfbcd44d4f986d6e24e6fd627e3bc5c505f78431b00b4"),
+        ],
+        ids=["simulate-3x3", "efficiency-default"],
+    )
+    def test_csv_digest(self, capsys, argv, digest):
+        code, out, _ = run_main(argv, capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestEfficiency:

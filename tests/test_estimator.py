@@ -254,6 +254,31 @@ class TestReport:
             assert rel_diff(r.cv2_conventional, base.cv2_conventional) <= 1e-10
 
 
+class TestFloatRange:
+    def test_g_hat_of_huge_and_tiny_values(self):
+        # A_n * H_n overflows (underflows) here, but the geometric mean does not
+        for scale in (1e155, 1e-170):
+            acc = SampleAccumulator.from_values([scale, 2.0 * scale, 4.0 * scale])
+            assert rel_diff(acc.g_hat(), 2.0 * scale) <= 1e-15
+
+    def test_overflowing_sum_of_squares_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = SampleAccumulator.from_values([1e155, 2e155, 4e155])
+            assert acc.k_hat() == pytest.approx(13.0 / 24.0, rel=1e-14)
+            with pytest.raises(OverflowError, match="cv2_conventional"):
+                acc.cv2_conventional()
+            with pytest.raises(OverflowError, match="cv2_conventional"):
+                acc.report()
+
+    def test_overflowing_ratio_raises(self):
+        acc = SampleAccumulator.from_values([1e-300, 1e300])
+        with pytest.raises(OverflowError, match="relative_ratio"):
+            acc.relative_ratio()
+        with pytest.raises(OverflowError, match="relative_ratio"):
+            acc.k_hat()
+
+
 class TestPredictions:
     def test_expected_k_n(self):
         assert expected_k_n(2, 1.0) == 0.5

@@ -1,7 +1,10 @@
+import itertools
 import math
+import threading
 
 import pytest
 
+from lnvar import montecarlo
 from lnvar.errors import BudgetExceededError, DomainError
 from lnvar.estimator import expected_k_n, large_sample_efficiency, sd_k_hat, sd_k_n
 from lnvar.montecarlo import (
@@ -170,6 +173,48 @@ class TestRunGrid:
         cell = cells[0]
         assert cell.runs == 10**7
         assert abs(cell.mean_khat - 0.01) <= 4.0 * cell.se_mean
+
+
+class TestGridWorkers:
+    """run_grid's threads: results and errors must not depend on their count."""
+
+    CFG = GridConfig(
+        n_values=[2, 5, 30], cv_values=[0.2, 0.6, 1.1], master_seed=3, runs_override=3000
+    )
+
+    def test_cells_match_row_major_loop(self, monkeypatch):
+        reference = [
+            run_cell(n, cv, 3000, derive_cell_seed(3, index))
+            for index, (n, cv) in enumerate(itertools.product(self.CFG.n_values, self.CFG.cv_values))
+        ]
+        for workers in (1, 2, 9):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+            assert run_grid(self.CFG) == reference
+
+    def test_cells_go_through_module_run_cell(self, monkeypatch):
+        # a patched montecarlo.run_cell is what the workers call
+        calls = []
+
+        def recording(n, cv, runs, seed, *args, **kwargs):
+            calls.append(seed)
+            return run_cell(n, cv, runs, seed, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 9)
+        monkeypatch.setattr(montecarlo, "run_cell", recording)
+        cells = run_grid(self.CFG)
+        assert sorted(calls) == sorted(c.seed for c in cells)
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("workers", [1, 2, 9])
+    def test_lowest_failing_cell_raises(self, monkeypatch, workers):
+        # cells 1 and 2 are over the budget of 3000 draws: 40 x 100 and 50 x 100
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+        cfg = GridConfig(n_values=[2, 40, 50, 3], cv_values=[0.5], runs_override=100)
+        threads_before = threading.active_count()
+        with pytest.raises(BudgetExceededError) as exc_info:
+            run_grid(cfg, max_draws=3000)
+        assert (exc_info.value.cost, exc_info.value.budget) == (4000, 3000)
+        assert threading.active_count() == threads_before
 
 
 def test_sd_agreement_in_heavy_tail_band():
