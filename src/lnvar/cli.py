@@ -8,6 +8,7 @@ digits so CSV output round-trips losslessly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -39,21 +40,6 @@ EXIT_BUDGET = 5
 # 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
 _BLOCK_CHARS = 16 * 1024
 
-CELL_CSV_HEADER = "n,cv,runs,seed,mean_khat,sd_khat,pred_mean,pred_sd,se_mean"
-
-_REPORT_FIELDS = (
-    "n",
-    "a_n",
-    "h_n",
-    "k_n",
-    "k_hat",
-    "g_hat",
-    "cv2_conventional",
-    "predicted_sd_k_hat",
-    "cost_collective",
-    "cost_conventional",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -64,43 +50,29 @@ def fsig(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def cells_to_csv(cells: Sequence[SimulationCell]) -> str:
-    lines = [CELL_CSV_HEADER]
-    for c in cells:
-        lines.append(
-            ",".join(
-                (
-                    str(c.n),
-                    fsig(c.cv),
-                    str(c.runs),
-                    str(c.seed),
-                    fsig(c.mean_khat),
-                    fsig(c.sd_khat),
-                    fsig(c.pred_mean),
-                    fsig(c.pred_sd),
-                    fsig(c.se_mean),
-                )
-            )
-        )
+def _fields(record) -> dict[str, str]:
+    """The fields of a dataclass record by name: ints as-is, floats through fsig."""
+    return {
+        f.name: str(v) if isinstance(v := getattr(record, f.name), int) else fsig(v)
+        for f in dataclasses.fields(record)
+    }
+
+
+def _to_csv(cls: type, records: Sequence) -> str:
+    """A header of cls's field names, then one line per record."""
+    lines = [",".join(f.name for f in dataclasses.fields(cls))]
+    lines.extend(",".join(_fields(r).values()) for r in records)
     return "\n".join(lines) + "\n"
 
 
-def _report_csv(report: EstimateReport) -> str:
-    values = []
-    for name in _REPORT_FIELDS:
-        v = getattr(report, name)
-        values.append(str(v) if isinstance(v, int) else fsig(v))
-    return ",".join(_REPORT_FIELDS) + "\n" + ",".join(values) + "\n"
+def cells_to_csv(cells: Sequence[SimulationCell]) -> str:
+    return _to_csv(SimulationCell, cells)
 
 
 def _report_text(report: EstimateReport) -> str:
-    width = max(len(name) for name in _REPORT_FIELDS)
-    lines = []
-    for name in _REPORT_FIELDS:
-        v = getattr(report, name)
-        rendered = str(v) if isinstance(v, int) else fsig(v)
-        lines.append(f"{name:<{width}}  {rendered}")
-    return "\n".join(lines) + "\n"
+    fields = _fields(report)
+    width = max(map(len, fields))
+    return "".join(f"{name:<{width}}  {value}\n" for name, value in fields.items())
 
 
 def _write_text(path: str, text: str) -> None:
@@ -179,6 +151,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     source = "<stdin>" if args.input == "-" else args.input
     try:
         if args.input == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                # a POSIX locale decodes stdin with surrogateescape
+                sys.stdin.reconfigure(errors="strict")
             acc = _accumulate_stream(sys.stdin, source)
         else:
             with open(args.input, "r", encoding="utf-8-sig") as fh:
@@ -186,7 +161,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     except UnicodeDecodeError:
         raise DomainError(f"{source}: not valid UTF-8") from None
     report = acc.report()
-    text = _report_csv(report) if args.format == "csv" else _report_text(report)
+    text = _to_csv(EstimateReport, [report]) if args.format == "csv" else _report_text(report)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -222,18 +197,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     cells = run_grid(cfg)
     _write_text(args.output, cells_to_csv(cells))
-    _emit_manifest(
-        args.output,
-        "simulate",
-        {
-            "n_values": list(cfg.n_values),
-            "cv_values": list(cfg.cv_values),
-            "runs_override": cfg.runs_override,
-            "runs_cap": cfg.runs_cap,
-            "mu_y": cfg.mu_y,
-        },
-        cfg.master_seed,
-    )
+    config = dataclasses.asdict(cfg)
+    master_seed = config.pop("master_seed")
+    _emit_manifest(args.output, "simulate", config, master_seed)
     return EXIT_OK
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import math
 
 
 class LnvarError(Exception):
@@ -28,3 +30,21 @@ class BudgetExceededError(LnvarError):
         super().__init__(message)
         self.cost = cost
         self.budget = budget
+
+
+def check_int(value: int, name: str, minimum: int) -> None:
+    """DomainError unless the integer value is at least minimum."""
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(value: float, name: str) -> None:
+    """DomainError unless value is a positive finite float."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def check_at_least(value: float, name: str, minimum: float = 0.0) -> None:
+    """DomainError unless value is a finite float >= minimum (by default, non-negative)."""
+    if not (math.isfinite(value) and value >= minimum):
+        raise DomainError(f"{name} must be >= {minimum:g} and finite, got {value}")

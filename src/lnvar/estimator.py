@@ -4,14 +4,14 @@ The accumulator keeps just enough running sums to read out the arithmetic,
 harmonic and geometric means, the relative mean ratio, and a conventional
 moment-based squared coefficient of variation.  Values arrive in blocks (a
 1-D array per call to extend); each block's sum_x and sum_inv_x is taken
-exactly (Shewchuk summation via math.fsum) and folded into a Neumaier
-compensated running pair.  Reciprocals of a widely spread sample span many
-orders of magnitude, and naive accumulation visibly biases the harmonic mean
-once samples reach the millions.  sum_x2 stays a plain left-to-right running
-sum.
+exactly (Shewchuk summation via math.fsum) and refolded with math.fsum into
+a running (hi, lo) pair, so merge is exactly commutative.  Reciprocals of a
+widely spread sample span many orders of magnitude, and naive accumulation
+visibly biases the harmonic mean once samples reach the millions.  sum_x2
+stays a plain left-to-right running sum.
 
 Alongside the data-facing estimators, this module holds the closed-form
-population predictions for the ratio statistic: its expected value, its
+population predictions for the relative ratio: its expected value, its
 variance/sd before and after the n/(n-1) bias correction, the large-sample
 efficiency of the corrected estimator, and the measurement-cost accounting
 for collectively measured means.
@@ -26,11 +26,19 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptySampleError, SampleTooSmallError
+from .errors import (
+    DomainError,
+    EmptySampleError,
+    SampleTooSmallError,
+    check_at_least,
+    check_int,
+    check_positive,
+)
 
 __all__ = [
     "SampleAccumulator",
     "EstimateReport",
+    "kn_from_sums",
     "expected_k_n",
     "var_k_n",
     "sd_k_n",
@@ -44,22 +52,18 @@ __all__ = [
 _EFFICIENCY_UNIT_THRESHOLD = 1e-12
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free sum: returns (fl(a+b), exact rounding error)."""
-    s = a + b
-    bb = s - a
-    err = (a - (s - bb)) + (b - bb)
-    return s, err
+def _fsum(terms: Iterable[float], quantity: str) -> float:
+    """math.fsum, or OverflowError naming the quantity when the sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise OverflowError(f"{quantity} overflows a float") from None
 
 
-def _comp_add(s: float, c: float, x: float) -> tuple[float, float]:
-    """One Neumaier step: add x to the running (sum, compensation) pair."""
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+def _refold(quantity: str, *terms: float) -> tuple[float, float]:
+    """The sum of terms as a (hi, lo) pair: hi correctly rounded, lo the rounded remainder."""
+    hi = _fsum(terms, quantity)
+    return hi, math.fsum((*terms, -hi))
 
 
 def _finite(value: float, quantity: str) -> float:
@@ -80,6 +84,16 @@ def _reciprocals(xs: np.ndarray) -> np.ndarray:
             raise DomainError(f"{x!r} is too close to 0: its reciprocal overflows a float")
         raise DomainError(f"lognormal support is positive reals, got {x}")
     return inv
+
+
+def kn_from_sums(
+    sum_x: np.ndarray | float, sum_inv_x: np.ndarray | float, n: int
+) -> np.ndarray | float:
+    """Relative ratio A_n/H_n - 1 of a size-n sample from its sums of x and 1/x.
+
+    Works elementwise on numpy arrays of per-sample sums, with no clamp.
+    """
+    return sum_x * sum_inv_x / (n * n) - 1.0
 
 
 @dataclass(frozen=True)
@@ -106,17 +120,17 @@ class SampleAccumulator:
     """Mergeable running sums of a positive-valued sample.
 
     Accumulators are plain values: fill independent ones on separate
-    workers and combine them with merge (component-wise sums).
+    workers and combine them with merge (component-wise sums).  sum_x and
+    sum_inv_x are each kept as a (hi, lo) pair: hi is the running total, lo
+    the part of it that hi's rounding left out.
     """
 
-    __slots__ = ("n", "_sx", "_sx_c", "_sinv", "_sinv_c", "_sx2")
+    __slots__ = ("n", "_sx", "_sinv", "_sx2")
 
     def __init__(self) -> None:
         self.n = 0
-        self._sx = 0.0
-        self._sx_c = 0.0
-        self._sinv = 0.0
-        self._sinv_c = 0.0
+        self._sx = (0.0, 0.0)
+        self._sinv = (0.0, 0.0)
         self._sx2 = 0.0
 
     @classmethod
@@ -135,11 +149,11 @@ class SampleAccumulator:
 
     @property
     def sum_x(self) -> float:
-        return self._sx + self._sx_c
+        return self._sx[0]
 
     @property
     def sum_inv_x(self) -> float:
-        return self._sinv + self._sinv_c
+        return self._sinv[0]
 
     @property
     def sum_x2(self) -> float:
@@ -153,31 +167,31 @@ class SampleAccumulator:
     def extend(self, xs: np.ndarray | Sequence[float]) -> None:
         """Fold a 1-D block of observations in.
 
-        The whole block is validated before any sum changes, so a rejected
-        block leaves the accumulator as it was.
+        The whole block is validated, and both new sums formed, before any
+        sum changes, so a rejected block leaves the accumulator as it was.
+        A sum_x or sum_inv_x beyond the float range raises OverflowError.
         """
         xs = np.asarray(xs, dtype=np.float64).ravel()
         if xs.size == 0:
             return
         inv = _reciprocals(xs)
-        self._sx, self._sx_c = _comp_add(self._sx, self._sx_c, math.fsum(xs.tolist()))
-        self._sinv, self._sinv_c = _comp_add(self._sinv, self._sinv_c, math.fsum(inv.tolist()))
+        sx = _refold("sum_x", *self._sx, _fsum(xs.tolist(), "sum_x"))
+        sinv = _refold("sum_inv_x", *self._sinv, _fsum(inv.tolist(), "sum_inv_x"))
         # left to right from the running value, exactly as one add per value;
         # a sum of squares that overflows is reported by cv2_conventional
         with np.errstate(over="ignore"):
             sq = xs * xs
             sq[0] += self._sx2
             self._sx2 = float(np.cumsum(sq, out=sq)[-1])
+        self._sx, self._sinv = sx, sinv
         self.n += xs.size
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Component-wise combination; commutative, with the empty accumulator as identity."""
         out = SampleAccumulator()
         out.n = self.n + other.n
-        s, e = _two_sum(self._sx, other._sx)
-        out._sx, out._sx_c = s, (self._sx_c + other._sx_c) + e
-        s, e = _two_sum(self._sinv, other._sinv)
-        out._sinv, out._sinv_c = s, (self._sinv_c + other._sinv_c) + e
+        out._sx = _refold("sum_x", *self._sx, *other._sx)
+        out._sinv = _refold("sum_inv_x", *self._sinv, *other._sinv)
         out._sx2 = self._sx2 + other._sx2
         return out
 
@@ -203,8 +217,8 @@ class SampleAccumulator:
         Raises OverflowError when the ratio is beyond float range.
         """
         self._require(1)
-        ratio = _finite((self.sum_x * self.sum_inv_x) / (self.n * self.n), "relative_ratio")
-        return max(0.0, ratio - 1.0)
+        kn = kn_from_sums(self.sum_x, self.sum_inv_x, self.n)
+        return max(0.0, _finite(kn, "relative_ratio"))
 
     def k_hat(self) -> float:
         """Bias-corrected relative ratio: n/(n-1) times relative_ratio.
@@ -244,33 +258,23 @@ class SampleAccumulator:
             k_hat=k_hat,
             g_hat=self.g_hat(),
             cv2_conventional=self.cv2_conventional(),
-            predicted_sd_k_hat=sd_k_hat(self.n, k_hat),
+            predicted_sd_k_hat=_finite(sd_k_hat(self.n, k_hat), "predicted_sd_k_hat"),
             cost_collective=measurement_cost(self.n, "collective"),
             cost_conventional=measurement_cost(self.n, "conventional"),
         )
 
 
-def _check_n(n: int, minimum: int = 2) -> None:
-    if n < minimum:
-        raise DomainError(f"n must be >= {minimum}, got {n}")
-
-
-def _check_k(k: float) -> None:
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
-
-
 def expected_k_n(n: int, k: float) -> float:
     """Expected value of the uncorrected relative ratio: (n-1)/n * k."""
-    _check_n(n)
-    _check_k(k)
+    check_int(n, "n", 2)
+    check_at_least(k, "k")
     return (n - 1) / n * k
 
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n))."""
-    _check_n(n)
-    _check_k(k)
+    check_int(n, "n", 2)
+    check_at_least(k, "k")
     return 2.0 * (n - 1) / (n * n) * k * k * (1.0 + k + k * k / (2.0 * n))
 
 
@@ -280,8 +284,8 @@ def sd_k_n(n: int, k: float) -> float:
 
 def var_k_hat(n: int, k: float) -> float:
     """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n))."""
-    _check_n(n)
-    _check_k(k)
+    check_int(n, "n", 2)
+    check_at_least(k, "k")
     return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / (2.0 * n))
 
 
@@ -296,8 +300,7 @@ def large_sample_efficiency(sigma2_y: float) -> float:
     Strictly decreasing in sigma2_y with limit 1 at 0+; inputs below 1e-12
     return 1.0 exactly.
     """
-    if not (math.isfinite(sigma2_y) and sigma2_y > 0.0):
-        raise DomainError(f"sigma2_y must be > 0, got {sigma2_y}")
+    check_positive(sigma2_y, "sigma2_y")
     if sigma2_y < _EFFICIENCY_UNIT_THRESHOLD:
         return 1.0
     try:
@@ -314,7 +317,7 @@ def measurement_cost(n: int, mode: Literal["conventional", "collective"]) -> int
     Conventional per-replicate reading costs n; collectively measured
     arithmetic and harmonic means cost 2 (one reading each) regardless of n.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     if mode == "conventional":
         return n
     if mode == "collective":

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, DomainError
+from .errors import (
+    DegenerateDistributionError,
+    DomainError,
+    check_at_least,
+    check_int,
+    check_positive,
+)
 
 __all__ = [
     "LogNormalParams",
@@ -28,10 +34,9 @@ class LogNormalParams:
     sigma2_y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu_y) and math.isfinite(self.sigma2_y)):
-            raise DomainError("log-space parameters must be finite")
-        if self.sigma2_y < 0.0:
-            raise DomainError(f"sigma2_y must be >= 0, got {self.sigma2_y}")
+        if not math.isfinite(self.mu_y):
+            raise DomainError(f"mu_y must be finite, got {self.mu_y}")
+        check_at_least(self.sigma2_y, "sigma2_y")
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,8 @@ def params_from_gk(g: float, k: float) -> LogNormalParams:
     Inverse of derive_moments in the (g, k) coordinates: mu = ln g,
     sigma2 = ln(1 + k).
     """
-    if not (math.isfinite(g) and g > 0.0):
-        raise DomainError(f"g must be positive and finite, got {g}")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
+    check_positive(g, "g")
+    check_at_least(k, "k")
     return LogNormalParams(mu_y=math.log(g), sigma2_y=math.log1p(k))
 
 
@@ -110,8 +113,7 @@ def pdf(x: float, p: LogNormalParams) -> float:
     """
     if p.sigma2_y == 0.0:
         raise DegenerateDistributionError("zero log-space variance has no density")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive and finite, got {x}")
+    check_positive(x, "x")
     s2 = p.sigma2_y
     t = math.log(x) - p.mu_y
     return math.exp(-(t * t) / (2.0 * s2)) / (x * math.sqrt(2.0 * math.pi * s2))
@@ -120,20 +122,9 @@ def pdf(x: float, p: LogNormalParams) -> float:
 def pdf_gk(x: float, g: float, k: float) -> float:
     """Density at x of the lognormal with geometric mean g and relative ratio k.
 
-    Evaluates 1 / (x sqrt(2 pi ln(1+k))) exp(-(ln(x/g))^2 / (2 ln(1+k))),
-    which agrees with pdf(x, params_from_gk(g, k)) for every valid input.
+    k = 0 is the point mass at g, which has no density.
     """
-    if not (math.isfinite(g) and g > 0.0):
-        raise DomainError(f"g must be positive and finite, got {g}")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be >= 0 and finite, got {k}")
-    if k == 0.0:
-        raise DegenerateDistributionError("k = 0 is the point mass at g; no density")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"x must be positive and finite, got {x}")
-    s2 = math.log1p(k)
-    t = math.log(x) - math.log(g)
-    return math.exp(-(t * t) / (2.0 * s2)) / (x * math.sqrt(2.0 * math.pi * s2))
+    return pdf(x, params_from_gk(g, k))
 
 
 def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
@@ -144,7 +135,6 @@ def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
     positive support.  The contract is distributional plus determinism, not
     bit-compatibility with any other generator.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    check_int(n, "n", 1)
     rng = np.random.default_rng(seed)
     return np.exp(rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n))

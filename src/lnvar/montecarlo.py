@@ -27,8 +27,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
-from .estimator import expected_k_n, large_sample_efficiency, sd_k_hat, sd_k_n
+from .errors import BudgetExceededError, DomainError, check_int, check_positive
+from .estimator import kn_from_sums, large_sample_efficiency, sd_k_hat
 from .model import params_from_gk
 
 __all__ = [
@@ -100,19 +100,16 @@ class GridConfig:
         if not self.n_values or not self.cv_values:
             raise DomainError("n_values and cv_values must be nonempty")
         for n in self.n_values:
-            if n < 2:
-                raise DomainError(f"every n must be >= 2, got {n}")
+            check_int(n, "n", 2)
         for cv in self.cv_values:
-            if not (math.isfinite(cv) and cv > 0.0):
-                raise DomainError(f"every cv must be positive and finite, got {cv}")
-        if self.master_seed < 0:
-            raise DomainError("master_seed must be a nonnegative integer")
-        if self.runs_override is not None and self.runs_override < 2:
-            raise DomainError("runs_override must be >= 2")
-        if self.runs_cap is not None and self.runs_cap < 2:
-            raise DomainError("runs_cap must be >= 2")
+            check_positive(cv, "cv")
+        check_int(self.master_seed, "master_seed", 0)
+        if self.runs_override is not None:
+            check_int(self.runs_override, "runs_override", 2)
+        if self.runs_cap is not None:
+            check_int(self.runs_cap, "runs_cap", 2)
         if not math.isfinite(self.mu_y):
-            raise DomainError("mu_y must be finite")
+            raise DomainError(f"mu_y must be finite, got {self.mu_y}")
 
     @classmethod
     def default(cls, master_seed: int = DEFAULT_MASTER_SEED) -> "GridConfig":
@@ -130,8 +127,7 @@ def resolve_runs(
     n: int, runs_override: Optional[int] = None, runs_cap: Optional[int] = None
 ) -> int:
     """Runs for a sample size n under the default rule, a cap, or an override."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    check_int(n, "n", 2)
     if runs_override is not None:
         return runs_override
     runs = RUNS_NUMERATOR // (n - 1)
@@ -172,26 +168,18 @@ def run_cell(
     seed: int,
     mu_y: float = 0.0,
     *,
-    statistic: Literal["khat", "kn"] = "khat",
     max_draws: Optional[int] = None,
 ) -> SimulationCell:
     """Run one simulation cell and summarize it.
 
-    statistic selects the per-run estimate: the bias-corrected ratio
-    ("khat", the default) or the raw relative ratio ("kn"); the analytic
-    prediction columns follow the choice.  The sd over runs uses the
-    unbiased (runs - 1) divisor.
+    Each run's estimate is the bias-corrected ratio k_hat; the cell reports
+    its mean and sd over runs (unbiased (runs - 1) divisor) next to the
+    analytic predictions cv^2 and sd_k_hat(n, cv^2).
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if not (math.isfinite(cv) and cv > 0.0):
-        raise DomainError(f"cv must be positive and finite, got {cv}")
-    if runs < 2:
-        raise DomainError(f"runs must be >= 2, got {runs}")
-    if seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
-    if statistic not in ("khat", "kn"):
-        raise DomainError(f"unknown statistic {statistic!r}")
+    check_int(n, "n", 2)
+    check_positive(cv, "cv")
+    check_int(runs, "runs", 2)
+    check_int(seed, "seed", 0)
 
     cost = runs * n
     budget = _resolve_budget(max_draws)
@@ -221,21 +209,14 @@ def run_cell(
     while done < runs:
         rows = min(rows_per_chunk, runs - done)
         x = np.exp(rng.normal(mu_y, sigma, size=(rows, n)))
-        kn = x.sum(axis=1) * (1.0 / x).sum(axis=1) / (n * n) - 1.0
-        estimates[done : done + rows] = kn if statistic == "kn" else kn * correction
+        kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
+        estimates[done : done + rows] = kn * correction
         done += rows
 
     chunks = [estimates[i : i + _CHUNK_ELEMS] for i in range(0, runs, _CHUNK_ELEMS)]
     mean = math.fsum(chain.from_iterable(c.tolist() for c in chunks)) / runs
     sq_resid = math.fsum(chain.from_iterable(np.square(c - mean).tolist() for c in chunks))
     sd = math.sqrt(sq_resid / (runs - 1))
-
-    if statistic == "kn":
-        pred_mean = expected_k_n(n, cv * cv)
-        pred_sd = sd_k_n(n, cv * cv)
-    else:
-        pred_mean = cv * cv
-        pred_sd = sd_k_hat(n, cv * cv)
 
     return SimulationCell(
         n=n,
@@ -244,8 +225,8 @@ def run_cell(
         seed=seed,
         mean_khat=mean,
         sd_khat=sd,
-        pred_mean=pred_mean,
-        pred_sd=pred_sd,
+        pred_mean=cv * cv,
+        pred_sd=sd_k_hat(n, cv * cv),
         se_mean=sd / math.sqrt(runs),
     )
 
@@ -305,8 +286,7 @@ def efficiency_curve(
         raise DomainError(
             f"need 0 < sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]"
         )
-    if points < 2:
-        raise DomainError(f"points must be >= 2, got {points}")
+    check_int(points, "points", 2)
     if spacing == "log":
         grid = np.geomspace(sigma2_min, sigma2_max, points)
     elif spacing == "linear":

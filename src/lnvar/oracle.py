@@ -1,6 +1,6 @@
-"""Exact mean and variance of the relative ratio statistic by covariance enumeration.
+"""Exact mean and variance of the relative ratio by covariance enumeration.
 
-The ratio statistic expands into (1/n^2) * sum over ordered index pairs of
+The mean ratio A_n/H_n expands into (1/n^2) * sum over ordered index pairs of
 X_i/X_j, so its variance is a sum of covariances Cov(X_i/X_j, X_p/X_q) over
 all [n(n-1)]^2 ordered pairs of ordered pairs.  For lognormal X the value of
 each covariance depends only on how the two index pairs overlap, which splits
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import DomainError
+from .errors import check_at_least, check_int
 from .estimator import expected_k_n, var_k_n
 
 __all__ = [
@@ -73,19 +73,9 @@ class TermClass:
     covariance_value: float
 
 
-def _check_omega(omega: float) -> None:
-    if not (math.isfinite(omega) and omega >= 1.0):
-        raise DomainError(f"omega must be >= 1, got {omega}")
-
-
-def _check_n(n: int) -> None:
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-
-
 def covariance_term(kind: TermKind, omega: float) -> float:
     """Covariance of one ratio-pair class as a polynomial in omega."""
-    _check_omega(omega)
+    check_at_least(omega, "omega", 1.0)
     w2 = omega * omega
     if kind is TermKind.SELF_PAIR:
         return w2 * w2 - w2
@@ -104,7 +94,7 @@ def term_multiplicity(kind: TermKind, n: int) -> int:
     Classes needing more distinct indices than n provides come out as 0,
     so n = 2 and n = 3 assemble correctly with no special casing.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     pairs = n * (n - 1)
     if kind in (TermKind.SELF_PAIR, TermKind.RECIPROCAL_PAIR):
         return pairs
@@ -126,8 +116,8 @@ def exact_mean_kn(n: int, omega: float) -> float:
     The double sum contributes n unit terms plus n(n-1) ratio terms each
     with expectation omega: (1/n^2)(n + n(n-1) omega) - 1.
     """
-    _check_n(n)
-    _check_omega(omega)
+    check_int(n, "n", 2)
+    check_at_least(omega, "omega", 1.0)
     return (n + n * (n - 1) * omega) / (n * n) - 1.0
 
 
@@ -159,7 +149,7 @@ def brute_force_class_counts(n: int) -> dict[TermKind, int]:
 
     O(n^4); meant for validating term_multiplicity at small n.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     counts = {kind: 0 for kind in TermKind}
     pairs = list(itertools.permutations(range(n), 2))
     for i, j in pairs:
@@ -213,15 +203,11 @@ def run_verification(
     multiplicity_fault is a test hook: it inflates one class count by 1
     inside the checks, which must surface as a failure naming that class.
     """
-    if max_n < 2:
-        raise DomainError(f"max_n must be >= 2, got {max_n}")
+    check_int(max_n, "max_n", 2)
     omegas = list(omegas)
 
     def mult(kind: TermKind, n: int) -> int:
-        m = term_multiplicity(kind, n)
-        if multiplicity_fault is not None and kind is multiplicity_fault:
-            m += 1
-        return m
+        return term_multiplicity(kind, n) + (kind is multiplicity_fault)
 
     counts_group = CheckGroup("class counts vs brute-force enumeration")
     for n in range(2, min(max_n, brute_force_limit) + 1):
@@ -261,16 +247,10 @@ def run_verification(
     for n in range(2, max_n + 1):
         for omega in omegas:
             var_group.checks += 1
-            if multiplicity_fault is None:
-                got = exact_var_kn(n, omega)
-            else:
-                got = (
-                    math.fsum(
-                        mult(kind, n) * covariance_term(kind, omega)
-                        for kind in TermKind
-                    )
-                    / float(n) ** 4
-                )
+            got = exact_var_kn(n, omega)
+            if multiplicity_fault is not None:
+                # the faulty class's one extra term
+                got += covariance_term(multiplicity_fault, omega) / float(n) ** 4
             want = var_k_n(n, omega - 1.0)
             if not _rel_close(got, want, rel_tol):
                 var_group.failures.append(

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lnvar
 from lnvar.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -136,7 +138,8 @@ class TestEstimate:
         monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
         assert run_main(["estimate"], capsys) == reference
 
-    @pytest.mark.parametrize("source", ["file", "stdin"])
+    # a POSIX or C.UTF-8 locale gives stdin errors="surrogateescape"
+    @pytest.mark.parametrize("source", ["file", "stdin", "stdin-surrogateescape"])
     def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys, monkeypatch, source):
         raw = b"1\n\xff\n4\n"
         if source == "file":
@@ -144,12 +147,28 @@ class TestEstimate:
             data.write_bytes(raw)
             argv, name = ["estimate", str(data)], str(data)
         else:
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+            errors = "surrogateescape" if source == "stdin-surrogateescape" else "strict"
+            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
+            monkeypatch.setattr(sys, "stdin", stdin)
             argv, name = ["estimate"], "<stdin>"
         code, out, err = run_main(argv, capsys)
         assert code == EXIT_DATA
         assert out == ""
         assert err == f"error: {name}: not valid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "text, quantity",
+        [("1e-150\n1e150\n", "predicted_sd_k_hat"), ("1e308\n1e308\n", "sum_x")],
+        ids=["predicted-sd", "running-sum"],
+    )
+    def test_overflowing_report_field_is_a_data_error(self, tmp_path, capsys, text, quantity):
+        data = tmp_path / "data.txt"
+        data.write_text(text)
+        code, out, err = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and f"{quantity} overflows" in err
+        assert "Traceback" not in err
 
     def test_overflowing_moment_is_a_data_error(self, tmp_path, capsys):
         # the sum of squares overflows: no silent cv2_conventional = 0, no
@@ -347,6 +366,28 @@ class TestGoldenDigests:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("text", "e45728ee4d04a05a23fac020e92cb13285321e3b6eb663f58eceddae6e35edda"),
+            ("csv", "f92bd3216cd6776036df58bdf58058236c49ff4952710f2ee8709e8da1fb1690"),
+        ],
+    )
+    def test_estimate_digest(self, tmp_path, capsys, fmt, digest):
+        # 2e4 values span many 16 KiB input blocks
+        values = np.random.default_rng(5).lognormal(0.0, 2.0, 20_000)
+        data = tmp_path / "data.txt"
+        data.write_text("".join(fsig(v) + "\n" for v in values))
+        code, out, _ = run_main(["estimate", str(data), "--format", fmt], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_verify_digest(self, capsys):
+        code, out, _ = run_main(["verify"], capsys)
+        assert code == EXIT_OK
+        digest = "e12fcf2e8f0e6534f8a8a29177efc7af9da3a62a5af080be47c2abef02d9ce7b"
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
 
 class TestEfficiency:
     def test_curve_row_at_one(self, tmp_path):
@@ -411,10 +452,13 @@ class TestTopLevel:
         assert main(["--version"]) == EXIT_OK
 
     def test_console_entry(self):
+        # the child imports the lnvar under test, installed or not
+        paths = [os.path.dirname(os.path.dirname(lnvar.__file__)), os.environ.get("PYTHONPATH")]
         proc = subprocess.run(
             [sys.executable, "-m", "lnvar", "verify", "--max-n", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

@@ -278,6 +278,26 @@ class TestFloatRange:
         with pytest.raises(OverflowError, match="relative_ratio"):
             acc.k_hat()
 
+    def test_overflowing_predicted_sd_raises(self):
+        # k_hat = 5e299 is a float, but k_hat^2 in its predicted sd is not
+        acc = SampleAccumulator.from_values([1e-150, 1e150])
+        assert acc.k_hat() == pytest.approx(5e299, rel=1e-15)
+        with pytest.raises(OverflowError, match="predicted_sd_k_hat"):
+            acc.report()
+
+    @pytest.mark.parametrize("x, quantity", [(1e308, "sum_x"), (1e-308, "sum_inv_x")])
+    def test_overflowing_running_sum_raises(self, x, quantity):
+        acc = SampleAccumulator.from_values([x])
+        before = repr(acc)  # n and all three sums
+        with pytest.raises(OverflowError, match=f"^{quantity} overflows"):
+            acc.extend([x])
+        assert repr(acc) == before
+        with pytest.raises(OverflowError, match=f"^{quantity} overflows"):
+            acc.merge(SampleAccumulator.from_values([x]))
+        # within a single block too
+        with pytest.raises(OverflowError, match=f"^{quantity} overflows"):
+            SampleAccumulator.from_values([x, x])
+
 
 class TestPredictions:
     def test_expected_k_n(self):

@@ -6,7 +6,7 @@ import pytest
 
 from lnvar import montecarlo
 from lnvar.errors import BudgetExceededError, DomainError
-from lnvar.estimator import expected_k_n, large_sample_efficiency, sd_k_hat, sd_k_n
+from lnvar.estimator import large_sample_efficiency, sd_k_hat
 from lnvar.montecarlo import (
     BUDGET_ENV_VAR,
     GridConfig,
@@ -69,14 +69,6 @@ class TestRunCell:
         gate = 10.0 * sd_k_hat(2, 1e-12) / math.sqrt(1000)
         assert abs(cell.mean_khat - 1e-12) <= gate
 
-    def test_uncorrected_statistic_shifts_by_exact_factor(self):
-        corrected = run_cell(5, 0.5, 4000, 99)
-        raw = run_cell(5, 0.5, 4000, 99, statistic="kn")
-        factor = 5.0 / 4.0
-        assert rel_diff(corrected.mean_khat, factor * raw.mean_khat) <= 1e-12
-        assert raw.pred_mean == expected_k_n(5, 0.25)
-        assert raw.pred_sd == sd_k_n(5, 0.25)
-
     def test_location_invariance(self):
         # the ratio statistic is scale free, so shifting the log-space mean
         # must not move the summary beyond fp noise
@@ -111,8 +103,6 @@ class TestRunCell:
             run_cell(4, 0.0, 100, 1)
         with pytest.raises(DomainError):
             run_cell(4, 0.5, 1, 1)
-        with pytest.raises(DomainError):
-            run_cell(4, 0.5, 100, 1, statistic="median")
 
 
 class TestGridConfig:
