@@ -19,13 +19,16 @@ from .errors import BudgetExceededError, DomainError
 from .estimator import EstimateReport, SampleAccumulator
 from .model import LogNormalParams, params_from_gk, sample
 from .montecarlo import (
+    DEFAULT_CV_VALUES,
     DEFAULT_MASTER_SEED,
+    DEFAULT_N_VALUES,
+    DEFAULT_RUNS_CAP,
     GridConfig,
     SimulationCell,
     efficiency_curve,
     run_grid,
 )
-from .oracle import DEFAULT_MAX_N, DEFAULT_OMEGAS, TermKind, run_verification
+from .oracle import DEFAULT_MAX_N, DEFAULT_OMEGAS, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,18 +136,12 @@ def _raise_first_bad_line(stripped: list[str], offset: int, source: str) -> None
             raise DomainError(f"{source}:{lineno}: {exc}") from None
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise _UsageError(f"{flag} expects a comma-separated list of integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise _UsageError(f"{flag} expects a comma-separated list of numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise _UsageError(f"{flag} expects a comma-separated list of {noun}, got {text!r}") from None
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -188,8 +185,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = GridConfig(
-        n_values=_parse_int_list(args.n, "--n"),
-        cv_values=_parse_float_list(args.cv, "--cv"),
+        n_values=_parse_list(args.n, "--n", int),
+        cv_values=_parse_list(args.cv, "--cv"),
         master_seed=args.seed,
         runs_override=args.runs,
         runs_cap=None if args.runs_cap == 0 else args.runs_cap,
@@ -229,12 +226,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    fault = TermKind(args.inject_fault) if args.inject_fault else None
-    report = run_verification(
-        max_n=args.max_n,
-        omegas=_parse_float_list(args.omega, "--omega"),
-        multiplicity_fault=fault,
-    )
+    report = run_verification(max_n=args.max_n, omegas=_parse_list(args.omega, "--omega"))
     for group in report.groups:
         status = "PASS" if group.passed else "FAIL"
         print(f"{group.label:<42} {group.checks:>4} checks  {status}")
@@ -277,13 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run the Monte Carlo grid and write the plot-ready CSV plus manifest",
     )
-    p.add_argument("--n", default="2,10,100", help="comma-separated sample sizes")
-    p.add_argument("--cv", default="0.1,0.5,1.0", help="comma-separated cv values")
+    p.add_argument(
+        "--n", default=",".join(map(str, DEFAULT_N_VALUES)), help="comma-separated sample sizes"
+    )
+    p.add_argument(
+        "--cv", default=",".join(map(repr, DEFAULT_CV_VALUES)), help="comma-separated cv values"
+    )
     p.add_argument("--runs", type=int, default=None, help="override runs for every cell")
     p.add_argument(
         "--runs-cap",
         type=int,
-        default=10**6,
+        default=DEFAULT_RUNS_CAP,
         help="cap the default floor(1e7/(n-1)) runs rule; 0 removes the cap",
     )
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
@@ -309,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{w:g}" for w in DEFAULT_OMEGAS),
         help="comma-separated mean-ratio values to check",
     )
-    p.add_argument(
-        "--inject-fault",
-        choices=[kind.value for kind in TermKind],
-        default=None,
-        help=argparse.SUPPRESS,
-    )
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -334,10 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

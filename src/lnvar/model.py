@@ -136,5 +136,6 @@ def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
     bit-compatibility with any other generator.
     """
     check_int(n, "n", 1)
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     return np.exp(rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n))

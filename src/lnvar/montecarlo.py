@@ -59,9 +59,9 @@ BUDGET_ENV_VAR = "LNVAR_MAX_DRAWS"
 # 52 MB at 1 << 14 and 51 MB at 1 << 12, with no measurable change in time.
 _CHUNK_ELEMS = 1 << 15
 
-_DEFAULT_N_VALUES = (2, 10, 100)
-_DEFAULT_CV_VALUES = (0.1, 0.5, 1.0)
-_DEFAULT_RUNS_CAP = 10**6
+DEFAULT_N_VALUES = (2, 10, 100)
+DEFAULT_CV_VALUES = (0.1, 0.5, 1.0)
+DEFAULT_RUNS_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ class GridConfig:
         """The stock desk-scale grid: n in {2, 10, 100}, cv in {0.1, 0.5, 1.0},
         runs = min(1e6, floor(1e7 / (n - 1)))."""
         return cls(
-            n_values=_DEFAULT_N_VALUES,
-            cv_values=_DEFAULT_CV_VALUES,
+            n_values=DEFAULT_N_VALUES,
+            cv_values=DEFAULT_CV_VALUES,
             master_seed=master_seed,
-            runs_cap=_DEFAULT_RUNS_CAP,
+            runs_cap=DEFAULT_RUNS_CAP,
         )
 
 
@@ -147,34 +147,26 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _resolve_budget(max_draws: Optional[int]) -> int:
-    if max_draws is not None:
-        return max_draws
+def _resolve_budget() -> int:
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_MAX_DRAWS
+    if env is None:
+        return DEFAULT_MAX_DRAWS
+    try:
+        budget = int(env)
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    check_int(budget, BUDGET_ENV_VAR, 0)
+    return budget
 
 
-def run_cell(
-    n: int,
-    cv: float,
-    runs: int,
-    seed: int,
-    mu_y: float = 0.0,
-    *,
-    max_draws: Optional[int] = None,
-) -> SimulationCell:
+def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> SimulationCell:
     """Run one simulation cell and summarize it.
 
     Each run's estimate is the bias-corrected ratio k_hat; the cell reports
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
-    analytic predictions cv^2 and sd_k_hat(n, cv^2).
+    analytic predictions cv^2 and sd_k_hat(n, cv^2).  A cell of more draws
+    than LNVAR_MAX_DRAWS (DEFAULT_MAX_DRAWS when unset) raises
+    BudgetExceededError.
     """
     check_int(n, "n", 2)
     check_positive(cv, "cv")
@@ -182,7 +174,7 @@ def run_cell(
     check_int(seed, "seed", 0)
 
     cost = runs * n
-    budget = _resolve_budget(max_draws)
+    budget = _resolve_budget()
     if cost > budget:
         raise BudgetExceededError(
             f"cell (n={n}, runs={runs}) needs {cost} draws, over the budget of "
@@ -239,13 +231,14 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_grid(cfg: GridConfig, *, max_draws: Optional[int] = None) -> list[SimulationCell]:
+def run_grid(cfg: GridConfig) -> list[SimulationCell]:
     """Run every (n, cv) cell of the grid, row-major over n then cv.
 
     Cells run concurrently on up to one thread per available CPU; each has
-    its own stream, so the results are the same for any thread count.  A
-    failure raises the error of the lowest-index failing cell, cancels the
-    cells not yet started, and returns no partial results.
+    its own stream, so the results are the same for any thread count.  Each
+    cell is held to the LNVAR_MAX_DRAWS budget, as in run_cell.  A failure
+    raises the error of the lowest-index failing cell, cancels the cells not
+    yet started, and returns no partial results.
     """
     # imported here, not at the top, so that `import lnvar` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -262,7 +255,7 @@ def run_grid(cfg: GridConfig, *, max_draws: Optional[int] = None) -> list[Simula
 
     def cell(spec: tuple[int, float, int, int]) -> SimulationCell:
         # looked up at call time, so a patched montecarlo.run_cell is the one run
-        return run_cell(*spec, cfg.mu_y, max_draws=max_draws)
+        return run_cell(*spec, cfg.mu_y)
 
     pool = ThreadPoolExecutor(max_workers=min(len(specs), _available_cpus()))
     try:

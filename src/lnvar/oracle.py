@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import check_at_least, check_int
+from .errors import DomainError, check_at_least, check_int
 from .estimator import expected_k_n, var_k_n
 
 __all__ = [
@@ -52,6 +52,8 @@ DEFAULT_OMEGAS = (1.0, 1.1, 2.0, 5.0, 10.0)
 DEFAULT_MAX_N = 12
 # beyond this the O(n^4) enumeration stops being instant
 DEFAULT_BRUTE_FORCE_LIMIT = 8
+# relative tolerance of the mean and variance agreement checks
+_REL_TOL = 1e-12
 
 
 class TermKind(enum.Enum):
@@ -158,10 +160,8 @@ def brute_force_class_counts(n: int) -> dict[TermKind, int]:
     return counts
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= tol * max(abs(a), abs(b))
+def _rel_close(a: float, b: float) -> bool:
+    return a == b or abs(a - b) <= _REL_TOL * max(abs(a), abs(b))
 
 
 @dataclass
@@ -194,27 +194,19 @@ class VerificationReport:
 def run_verification(
     max_n: int = DEFAULT_MAX_N,
     omegas: Iterable[float] = DEFAULT_OMEGAS,
-    rel_tol: float = 1e-12,
-    brute_force_limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
-    multiplicity_fault: Optional[TermKind] = None,
 ) -> VerificationReport:
-    """Cross-check the enumeration oracle against the closed-form predictions.
-
-    multiplicity_fault is a test hook: it inflates one class count by 1
-    inside the checks, which must surface as a failure naming that class.
-    """
+    """Cross-check the enumeration oracle against the closed-form predictions."""
     check_int(max_n, "max_n", 2)
     omegas = list(omegas)
-
-    def mult(kind: TermKind, n: int) -> int:
-        return term_multiplicity(kind, n) + (kind is multiplicity_fault)
+    if not omegas:
+        raise DomainError("omegas must be nonempty")
 
     counts_group = CheckGroup("class counts vs brute-force enumeration")
-    for n in range(2, min(max_n, brute_force_limit) + 1):
+    for n in range(2, min(max_n, DEFAULT_BRUTE_FORCE_LIMIT) + 1):
         enumerated = brute_force_class_counts(n)
         for kind in TermKind:
             counts_group.checks += 1
-            expected = mult(kind, n)
+            expected = term_multiplicity(kind, n)
             if expected != enumerated[kind]:
                 counts_group.failures.append(
                     f"n={n} class={kind.value}: closed-form count {expected} "
@@ -224,40 +216,28 @@ def run_verification(
     totals_group = CheckGroup("multiplicity totals")
     for n in range(2, max_n + 1):
         totals_group.checks += 1
-        total = sum(mult(kind, n) for kind in TermKind)
+        total = sum(term_multiplicity(kind, n) for kind in TermKind)
         expected = (n * (n - 1)) ** 2
         if total != expected:
             totals_group.failures.append(
                 f"n={n}: class counts sum to {total}, expected (n(n-1))^2 = {expected}"
             )
 
-    mean_group = CheckGroup("mean agreement")
-    for n in range(2, max_n + 1):
-        for omega in omegas:
-            mean_group.checks += 1
-            got = exact_mean_kn(n, omega)
-            want = expected_k_n(n, omega - 1.0)
-            if not _rel_close(got, want, rel_tol):
-                mean_group.failures.append(
-                    f"n={n} omega={omega:g}: enumeration mean {got!r} "
-                    f"vs closed form {want!r}"
-                )
-
-    var_group = CheckGroup("variance agreement")
-    for n in range(2, max_n + 1):
-        for omega in omegas:
-            var_group.checks += 1
-            got = exact_var_kn(n, omega)
-            if multiplicity_fault is not None:
-                # the faulty class's one extra term
-                got += covariance_term(multiplicity_fault, omega) / float(n) ** 4
-            want = var_k_n(n, omega - 1.0)
-            if not _rel_close(got, want, rel_tol):
-                var_group.failures.append(
-                    f"n={n} omega={omega:g}: enumeration variance {got!r} "
-                    f"vs closed form {want!r}"
-                )
-
-    return VerificationReport(
-        groups=[counts_group, totals_group, mean_group, var_group]
-    )
+    groups = [counts_group, totals_group]
+    for noun, enumerated_fn, closed_form in (
+        ("mean", exact_mean_kn, expected_k_n),
+        ("variance", exact_var_kn, var_k_n),
+    ):
+        group = CheckGroup(f"{noun} agreement")
+        for n in range(2, max_n + 1):
+            for omega in omegas:
+                group.checks += 1
+                got = enumerated_fn(n, omega)
+                want = closed_form(n, omega - 1.0)
+                if not _rel_close(got, want):
+                    group.failures.append(
+                        f"n={n} omega={omega:g}: enumeration {noun} {got!r} "
+                        f"vs closed form {want!r}"
+                    )
+        groups.append(group)
+    return VerificationReport(groups=groups)

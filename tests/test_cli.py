@@ -263,6 +263,15 @@ class TestSample:
         code, _, _ = run_main(["sample", "--g", "-1", "--k", "1", "-n", "5"], capsys)
         assert code == EXIT_DATA
 
+    def test_negative_seed_is_a_data_error(self, capsys):
+        code, out, err = run_main(
+            ["sample", "--g", "1", "--k", "1", "-n", "3", "--seed", "-1"], capsys
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "seed" in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     FLAGS = ["simulate", "--n", "2", "--cv", "0.5", "--runs", "1000", "--seed", "7"]
@@ -338,13 +347,19 @@ class TestSimulate:
         assert code == EXIT_USAGE
 
     def test_default_grid_flags(self):
-        from lnvar.cli import build_parser
+        from lnvar.cli import _parse_list, build_parser
 
         args = build_parser().parse_args(["simulate"])
         assert args.n == "2,10,100"
         assert args.cv == "0.1,0.5,1.0"
         assert args.runs is None
         assert args.runs_cap == 10**6
+        # the CLI's default grid is the library's
+        default = GridConfig.default()
+        assert tuple(_parse_list(args.n, "--n", int)) == default.n_values
+        assert tuple(_parse_list(args.cv, "--cv")) == default.cv_values
+        assert args.runs_cap == default.runs_cap
+        assert args.seed == default.master_seed
 
 
 class TestGoldenDigests:
@@ -435,13 +450,22 @@ class TestVerify:
         code, _, _ = run_main(["verify", "--max-n", "2"], capsys)
         assert code == EXIT_OK
 
-    def test_injected_fault_fails_naming_class(self, capsys):
-        code, out, err = run_main(
-            ["verify", "--inject-fault", "shared_numerator"], capsys
-        )
+    def test_injected_fault_fails_naming_class(self, capsys, monkeypatch):
+        from lnvar import oracle
+
+        count = oracle.term_multiplicity
+        kind = oracle.TermKind.SHARED_NUMERATOR
+        monkeypatch.setattr(oracle, "term_multiplicity", lambda k, n: count(k, n) + (k is kind))
+        code, out, err = run_main(["verify"], capsys)
         assert code == EXIT_VERIFY
         assert "shared_numerator" in err
         assert "FAIL" in out
+
+    def test_empty_omega_list_is_a_data_error(self, capsys):
+        code, out, err = run_main(["verify", "--omega", ","], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "omegas" in err
 
 
 class TestTopLevel:

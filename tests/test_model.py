@@ -189,3 +189,7 @@ class TestSample:
     def test_rejects_zero_length(self):
         with pytest.raises(DomainError):
             sample(LogNormalParams(0.0, 1.0), 0, 1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            sample(LogNormalParams(0.0, 1.0), 3, -1)

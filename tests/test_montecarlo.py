@@ -77,9 +77,10 @@ class TestRunCell:
         assert rel_diff(base.mean_khat, shifted.mean_khat) <= 1e-12
         assert rel_diff(base.sd_khat, shifted.sd_khat) <= 1e-12
 
-    def test_budget_refusal_reports_cost(self):
+    def test_budget_refusal_reports_cost(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
         with pytest.raises(BudgetExceededError) as exc_info:
-            run_cell(10, 0.5, 1000, 1, max_draws=5000)
+            run_cell(10, 0.5, 1000, 1)
         assert exc_info.value.cost == 10_000
         assert exc_info.value.budget == 5000
         assert "10000" in str(exc_info.value)
@@ -88,9 +89,10 @@ class TestRunCell:
         monkeypatch.setenv(BUDGET_ENV_VAR, "100")
         with pytest.raises(BudgetExceededError):
             run_cell(10, 0.5, 1000, 1)
-        monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")
-        with pytest.raises(DomainError):
-            run_cell(10, 0.5, 1000, 1)
+        for bad in ("not-a-number", "-5"):
+            monkeypatch.setenv(BUDGET_ENV_VAR, bad)
+            with pytest.raises(DomainError, match=BUDGET_ENV_VAR):
+                run_cell(10, 0.5, 1000, 1)
 
     def test_slow_convergence_warning(self):
         with pytest.warns(RuntimeWarning, match="cv"):
@@ -152,10 +154,11 @@ class TestRunGrid:
         )
         assert run_grid(cfg) == run_grid(cfg)
 
-    def test_budget_propagates(self):
+    def test_budget_propagates(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "100")
         cfg = GridConfig(n_values=[10], cv_values=[0.5], runs_override=1000)
         with pytest.raises(BudgetExceededError):
-            run_grid(cfg, max_draws=100)
+            run_grid(cfg)
 
     def test_uncapped_rule_runs_ten_million_at_n2(self):
         cells = run_grid(GridConfig(n_values=[2], cv_values=[0.1]))
@@ -200,9 +203,10 @@ class TestGridWorkers:
         # cells 1 and 2 are over the budget of 3000 draws: 40 x 100 and 50 x 100
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
         cfg = GridConfig(n_values=[2, 40, 50, 3], cv_values=[0.5], runs_override=100)
+        monkeypatch.setenv(BUDGET_ENV_VAR, "3000")
         threads_before = threading.active_count()
         with pytest.raises(BudgetExceededError) as exc_info:
-            run_grid(cfg, max_draws=3000)
+            run_grid(cfg)
         assert (exc_info.value.cost, exc_info.value.budget) == (4000, 3000)
         assert threading.active_count() == threads_before
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lnvar import oracle
 from lnvar.errors import DomainError
 from lnvar.estimator import expected_k_n, var_k_n
 from lnvar.model import LogNormalParams, sample
@@ -145,11 +146,20 @@ class TestVerification:
         assert run_verification(max_n=2).passed
 
     @pytest.mark.parametrize("kind", list(TermKind))
-    def test_injected_fault_names_class(self, kind):
-        report = run_verification(max_n=6, multiplicity_fault=kind)
+    def test_injected_fault_names_class(self, monkeypatch, kind):
+        # one class count off by one must fail a check that names the class
+        def faulty(k, n):
+            return term_multiplicity(k, n) + (k is kind)
+
+        monkeypatch.setattr(oracle, "term_multiplicity", faulty)
+        report = run_verification(max_n=6)
         assert not report.passed
         assert kind.value in report.first_failure
 
     def test_rejects_bad_max_n(self):
         with pytest.raises(DomainError):
             run_verification(max_n=1)
+
+    def test_rejects_empty_omegas(self):
+        with pytest.raises(DomainError, match="omegas"):
+            run_verification(omegas=[])
