@@ -8,11 +8,12 @@ digits so CSV output round-trips losslessly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Optional, Sequence, TextIO
+from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import __version__
 from .errors import BudgetExceededError, DomainError
@@ -43,6 +44,17 @@ EXIT_BUDGET = 5
 # 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
 _BLOCK_CHARS = 16 * 1024
 
+# sample formats and writes this many values at a time, with one %-format of
+# a repeated template per chunk.  `lnvar.cli.main` writing 1e6 values to a
+# file (x86-64, Python 3.11, numpy 2.4): 0.75 s and 42 MB peak RSS at 2^12
+# values, 0.64 s and 44 MB at 2^14, 0.86 s and 51 MB at 2^16; formatting all
+# values into one string took 1.4 s and 145 MB.
+_WRITE_CHUNK = 1 << 14
+
+# Every float is written with 17 significant digits, enough for a lossless
+# round trip.  "%" and format() share CPython's conversion for this spec.
+_FLOAT_FORMAT = "%.17g"
+
 
 class _UsageError(Exception):
     pass
@@ -50,7 +62,7 @@ class _UsageError(Exception):
 
 def fsig(value: float) -> str:
     """17 significant digits: enough for a lossless float round trip."""
-    return format(float(value), ".17g")
+    return _FLOAT_FORMAT % float(value)
 
 
 def _fields(record) -> dict[str, str]:
@@ -78,12 +90,16 @@ def _report_text(report: EstimateReport) -> str:
     return "".join(f"{name:<{width}}  {value}\n" for name, value in fields.items())
 
 
-def _write_text(path: str, text: str) -> None:
+def _output(path: str) -> ContextManager[TextIO]:
+    """stdout for "-", else the file at path, opened for ASCII text."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="ascii", newline="")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit_manifest(output_path: str, command: str, config: dict, master_seed: Optional[int]) -> None:
@@ -178,8 +194,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.g is None or args.k is None:
             raise _UsageError("--g and --k must be given together")
         params = params_from_gk(args.g, args.k)
+    # sample refuses draws beyond the float range before any output is opened
     values = sample(params, args.n, args.seed)
-    _write_text(args.output, "".join(fsig(v) + "\n" for v in values))
+    line = _FLOAT_FORMAT + "\n"
+    with _output(args.output) as fh:
+        for start in range(0, values.size, _WRITE_CHUNK):
+            chunk = values[start : start + _WRITE_CHUNK].tolist()
+            fh.write((line * len(chunk)) % tuple(chunk))
     return EXIT_OK
 
 
@@ -329,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
     except ArithmeticError as exc:
         print(f"error: the data are beyond float range for this report: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
         return EXIT_DATA
 
 

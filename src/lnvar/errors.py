@@ -1,6 +1,10 @@
 """Exception types shared across the package, and the argument checks that raise them."""
 
+from __future__ import annotations
+
 import math
+
+import numpy as np
 
 
 class LnvarError(Exception):
@@ -32,10 +36,20 @@ class BudgetExceededError(LnvarError):
         self.budget = budget
 
 
-def check_int(value: int, name: str, minimum: int) -> None:
-    """DomainError unless the integer value is at least minimum."""
+# The most float64 values one array may be asked to hold.  2^59 floats are
+# 4 EiB, past any address space, so a count up to this fails as MemoryError;
+# much past it numpy cannot even size the array, and np.linspace(1, 2, 2**60 - 1)
+# raises ValueError.
+MAX_FLOAT_ARRAY_LEN = 1 << 59
+
+
+def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> None:
+    """DomainError unless the integer value is at least minimum, and at most
+    maximum when one is given."""
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value}")
 
 
 def check_positive(value: float, name: str) -> None:
@@ -48,3 +62,26 @@ def check_at_least(value: float, name: str, minimum: float = 0.0) -> None:
     """DomainError unless value is a finite float >= minimum (by default, non-negative)."""
     if not (math.isfinite(value) and value >= minimum):
         raise DomainError(f"{name} must be >= {minimum:g} and finite, got {value}")
+
+
+def _off_support(xs: np.ndarray) -> np.ndarray:
+    """Mask of the values that are not positive finite floats with a finite reciprocal."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / xs
+    return ~((xs > 0.0) & np.isfinite(xs) & np.isfinite(inv))
+
+
+def check_support(xs: np.ndarray) -> None:
+    """DomainError unless every value of the nonempty float array xs is a positive
+    finite float whose reciprocal is finite too; the message names the first
+    value that is not.
+
+    The values that pass form one interval, so the smallest and largest decide
+    (a NaN makes both NaN), and only a failing array is scanned value by value.
+    """
+    if not _off_support(np.array([xs.min(), xs.max()])).any():
+        return
+    x = float(xs[_off_support(xs).argmax()])
+    if 0.0 < x < math.inf:
+        raise DomainError(f"{x!r} is too close to 0: its reciprocal overflows a float")
+    raise DomainError(f"lognormal support is positive reals, got {x}")

@@ -33,6 +33,7 @@ from .errors import (
     check_at_least,
     check_int,
     check_positive,
+    check_support,
 )
 
 __all__ = [
@@ -71,19 +72,6 @@ def _finite(value: float, quantity: str) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"{quantity} overflows a float")
     return value
-
-
-def _reciprocals(xs: np.ndarray) -> np.ndarray:
-    """1/xs, after checking every value is a positive real with a finite reciprocal."""
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / xs
-    bad = ~((xs > 0.0) & np.isfinite(xs) & np.isfinite(inv))
-    if bad.any():
-        x = float(xs[bad.argmax()])
-        if 0.0 < x < math.inf:
-            raise DomainError(f"{x!r} is too close to 0: its reciprocal overflows a float")
-        raise DomainError(f"lognormal support is positive reals, got {x}")
-    return inv
 
 
 def kn_from_sums(
@@ -174,7 +162,8 @@ class SampleAccumulator:
         xs = np.asarray(xs, dtype=np.float64).ravel()
         if xs.size == 0:
             return
-        inv = _reciprocals(xs)
+        check_support(xs)
+        inv = 1.0 / xs
         sx = _refold("sum_x", *self._sx, _fsum(xs.tolist(), "sum_x"))
         sinv = _refold("sum_inv_x", *self._sinv, _fsum(inv.tolist(), "sum_inv_x"))
         # left to right from the running value, exactly as one add per value;

@@ -8,11 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MAX_FLOAT_ARRAY_LEN,
     DegenerateDistributionError,
     DomainError,
     check_at_least,
     check_int,
     check_positive,
+    check_support,
 )
 
 __all__ = [
@@ -131,11 +133,26 @@ def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. lognormal variates, deterministic for fixed (seed, n, p).
 
     Uses numpy's PCG64 stream seeded through SeedSequence(seed); normal
-    variates come from the ziggurat sampler and are exponentiated onto the
-    positive support.  The contract is distributional plus determinism, not
-    bit-compatibility with any other generator.
+    variates come from the ziggurat sampler and are exponentiated in place
+    onto the positive support.  The contract is distributional plus
+    determinism, not bit-compatibility with any other generator.
+
+    Every draw must be usable by the estimator: a positive finite float with
+    a finite reciprocal.  A draw that overflows to inf, underflows to 0, or
+    lands so close to 0 that its reciprocal overflows (say mu_y = 800, or
+    mu_y = -740 with sigma2_y = 0) raises DomainError, without a numpy
+    warning.
     """
-    check_int(n, "n", 1)
+    check_int(n, "n", 1, MAX_FLOAT_ARRAY_LEN)
     check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    return np.exp(rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n))
+    values = rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n)
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(values, out=values)
+    try:
+        check_support(values)
+    except DomainError as exc:
+        raise DomainError(
+            f"LN(mu_y={p.mu_y:g}, sigma2_y={p.sigma2_y:g}) draws beyond the float range: {exc}"
+        ) from None
+    return values

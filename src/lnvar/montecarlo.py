@@ -27,7 +27,13 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, check_int, check_positive
+from .errors import (
+    MAX_FLOAT_ARRAY_LEN,
+    BudgetExceededError,
+    DomainError,
+    check_int,
+    check_positive,
+)
 from .estimator import kn_from_sums, large_sample_efficiency, sd_k_hat
 from .model import params_from_gk
 
@@ -279,7 +285,7 @@ def efficiency_curve(
         raise DomainError(
             f"need 0 < sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]"
         )
-    check_int(points, "points", 2)
+    check_int(points, "points", 2, MAX_FLOAT_ARRAY_LEN)
     if spacing == "log":
         grid = np.geomspace(sigma2_min, sigma2_max, points)
     elif spacing == "linear":

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -18,11 +19,13 @@ from lnvar.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     _BLOCK_CHARS,
+    _WRITE_CHUNK,
     cells_to_csv,
     fsig,
     main,
 )
 from lnvar.estimator import sd_k_hat
+from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import GridConfig, run_grid
 
 from _properties import rel_diff
@@ -263,6 +266,36 @@ class TestSample:
         code, _, _ = run_main(["sample", "--g", "-1", "--k", "1", "-n", "5"], capsys)
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    @pytest.mark.parametrize(
+        "mu, sigma2",
+        [("800", "1"), ("-800", "1"), ("-740", "0")],
+        ids=["overflow", "underflow", "reciprocal-overflow"],
+    )
+    def test_draws_beyond_float_range_are_refused(self, tmp_path, capsys, mu, sigma2, target):
+        data = tmp_path / "draw.txt"
+        argv = ["sample", "--mu", mu, "--sigma2", sigma2, "-n", "2"]
+        if target == "file":
+            argv += ["-o", str(data)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(argv, capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "beyond the float range" in err
+        assert not data.exists()
+
+    @pytest.mark.parametrize(
+        "n", [1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 3 * _WRITE_CHUNK + 5]
+    )
+    def test_chunk_boundaries(self, tmp_path, n):
+        data = tmp_path / "draw.txt"
+        flags = ["--g", "1", "--k", "0.5", "-n", str(n), "--seed", "4"]
+        assert main(["sample", *flags, "-o", str(data)]) == EXIT_OK
+        values = sample(params_from_gk(1.0, 0.5), n, 4)
+        assert data.read_text() == "".join(format(v, ".17g") + "\n" for v in values)
+
     def test_negative_seed_is_a_data_error(self, capsys):
         code, out, err = run_main(
             ["sample", "--g", "1", "--k", "1", "-n", "3", "--seed", "-1"], capsys
@@ -397,6 +430,21 @@ class TestGoldenDigests:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    def test_sample_digest(self, tmp_path, capsys, target):
+        # 1e5 values span several write chunks
+        argv = ["sample", "--g", "1", "--k", "0.5", "-n", "100000", "--seed", "3"]
+        if target == "file":
+            data = tmp_path / "draw.txt"
+            assert main(argv + ["-o", str(data)]) == EXIT_OK
+            raw = data.read_bytes()
+        else:
+            code, out, _ = run_main(argv, capsys)
+            assert code == EXIT_OK
+            raw = out.encode("ascii")
+        digest = "9139ff65e8ba720a2b5af410a925d22c9551526eeb808c467e51b7cded51abb0"
+        assert hashlib.sha256(raw).hexdigest() == digest
+
     def test_verify_digest(self, capsys):
         code, out, _ = run_main(["verify"], capsys)
         assert code == EXIT_OK
@@ -490,3 +538,123 @@ class TestTopLevel:
     def test_fsig_round_trip(self):
         for v in (0.1, 1.6, 2.4859222776089562, 1e-12, 101010.0):
             assert float(fsig(v)) == v
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            5e-324,
+            sys.float_info.min,
+            sys.float_info.max,
+            1e-4,
+            math.nextafter(1e-4, 0.0),
+            1e-5,
+            math.nextafter(1e-5, 1.0),
+            1e16,
+            1e17,
+            math.nextafter(1e17, 0.0),
+            0.0,
+            -0.0,
+            math.inf,
+            -math.inf,
+            math.nan,
+        ],
+    )
+    def test_percent_format_matches_format_spec(self, value):
+        # sample writes "%.17g" % v, everything else writes fsig(v)
+        assert "%.17g" % value == format(value, ".17g") == fsig(value)
+
+
+class TestFuzz:
+    """Seeded random command lines over every subcommand: each one ends in a
+    documented exit code, never in an exception."""
+
+    EXIT_CODES = {EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFY, EXIT_BUDGET}
+    # (well-formed, malformed) values.  The valid ints are small, so that no
+    # accepted command runs long; the huge ones must be refused by a check,
+    # the draw budget or a failed allocation (2^59 floats are past any
+    # address space).
+    INTS = (["0", "1", "2", "3", "-1", str(2**59), "99999999999999999999"], ["", "x", "2.5", "1e3"])
+    FLOATS = (
+        ["0", "1", "0.5", "3", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "800", "-800"],
+        ["", "x"],
+    )
+    N_LISTS = (["2", "3,2", "2,,3", ",", "1", "99999999999999999999"], ["", "x,2", "2.5"])
+    FLOAT_LISTS = (["0.5", "1,2", "0.1,", ",", "nan", "inf", "-1", "0", "1e300", "100"], ["", "x"])
+    LINES = (
+        ["1", "4", "2.5", "1e-3", "# note", "", "  "],
+        ["-4", "0", "nan", "inf", "-inf", "1e-320", "5e-324", "1e308", "1e155", "1e-170",
+         "banana", "\ufeff2", "1,2", "0x10", "1_0", "\x00"],
+    )
+    BUDGETS = (
+        [None, "0", "100", "20000", " 7 "],
+        ["", " ", "abc", "-5", "1e3"],
+    )
+
+    @staticmethod
+    def value(rng, pools):
+        ok, bad = pools
+        return rng.choice(bad if rng.random() < 0.1 else ok)
+
+    def flags(self, rng, options):
+        """Each option with probability 1/2, with a value from its pools."""
+        argv = []
+        for flag, pools in options:
+            if rng.random() < 0.5:
+                argv += [flag, self.value(rng, pools)]
+        return argv
+
+    def command(self, rng, tmp_path, monkeypatch):
+        name = rng.choice(["estimate", "sample", "simulate", "efficiency", "verify"])
+        output = rng.choice(["-", str(tmp_path / "out.txt")])
+        if name == "estimate":
+            lines = [self.value(rng, self.LINES) for _ in range(rng.randint(0, 6))]
+            text = "".join(line + "\n" for line in lines)
+            argv = ["estimate", *self.flags(rng, [("--format", (["text", "csv"], ["xml"]))])]
+            if rng.random() < 0.5:
+                data = tmp_path / "data.txt"
+                data.write_text(text, encoding="utf-8")
+                argv.append(str(data))
+            else:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            return argv
+        if name == "sample":
+            pairs = [["--mu", "--sigma2"], ["--g", "--k"], ["--mu", "--k"], ["--g"], []]
+            pair = rng.choices(pairs, weights=[3, 3, 1, 1, 1])[0]
+            argv = ["sample", "-n", self.value(rng, self.INTS), "-o", output]
+            for flag in pair:
+                argv += [flag, self.value(rng, self.FLOATS)]
+            return argv + self.flags(rng, [("--seed", self.INTS)])
+        if name == "simulate":
+            # --n and --runs are always given, so the default grid never runs
+            options = [("--cv", self.FLOAT_LISTS), ("--runs-cap", self.INTS),
+                       ("--seed", self.INTS), ("--mu-y", self.FLOATS)]
+            return ["simulate", "--n", self.value(rng, self.N_LISTS),
+                    "--runs", self.value(rng, self.INTS), *self.flags(rng, options), "-o", output]
+        if name == "efficiency":
+            options = [("--min", self.FLOATS), ("--max", self.FLOATS), ("--points", self.INTS),
+                       ("--spacing", (["log", "linear"], ["x"]))]
+            return ["efficiency", *self.flags(rng, options), "-o", output]
+        max_n = (["0", "1", "2", "3", "4", "-1"], ["", "x"])
+        return ["verify", "--max-n", self.value(rng, max_n),
+                *self.flags(rng, [("--omega", self.FLOAT_LISTS)])]
+
+    def test_random_command_lines(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(20151)
+        seen = set()
+        for _ in range(500):
+            budget = self.value(rng, self.BUDGETS)
+            if budget is None:
+                monkeypatch.delenv("LNVAR_MAX_DRAWS", raising=False)
+            else:
+                monkeypatch.setenv("LNVAR_MAX_DRAWS", budget)
+            argv = self.command(rng, tmp_path, monkeypatch)
+            with warnings.catch_warnings():
+                # the cv > 2 slow-convergence warning is expected for some grids
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, _, err = run_main(argv, capsys)
+            assert code in self.EXIT_CODES, (argv, budget, code)
+            assert "Traceback" not in err, (argv, budget)
+            seen.add((argv[0], code))
+        # the seed reaches both success and refusal on every subcommand
+        for name in ("estimate", "sample", "simulate", "efficiency", "verify"):
+            assert (name, EXIT_OK) in seen and (name, EXIT_DATA) in seen, name

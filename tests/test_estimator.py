@@ -57,6 +57,13 @@ class TestAccumulate:
         with pytest.raises(DomainError, match="got -2.0"):
             SampleAccumulator().extend(np.array([1.0, -2.0, math.nan]))
 
+    def test_rejected_block_names_first_bad_value_not_its_extremes(self):
+        # the smallest (-3) and largest (inf) values are off the support too,
+        # but the message names the first one
+        block = np.array([1.0, 5e-324, -3.0, math.inf, 2.0])
+        with pytest.raises(DomainError, match=r"^5e-324 is too close to 0"):
+            SampleAccumulator().extend(block)
+
     def test_from_values_accepts_list_array_and_generator(self):
         values = np.exp(np.random.default_rng(5).normal(0.0, 2.0, size=1000))
         accs = [

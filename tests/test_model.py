@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lnvar.errors import DegenerateDistributionError, DomainError
+from lnvar.errors import MAX_FLOAT_ARRAY_LEN, DegenerateDistributionError, DomainError
 from lnvar.model import (
     LogNormalParams,
     derive_moments,
@@ -193,3 +194,23 @@ class TestSample:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed"):
             sample(LogNormalParams(0.0, 1.0), 3, -1)
+
+    @pytest.mark.parametrize(
+        "mu, sigma2",
+        [(800.0, 1.0), (-800.0, 1.0), (-740.0, 0.0)],
+        ids=["overflow", "underflow", "reciprocal-overflow"],
+    )
+    def test_rejects_draws_beyond_float_range(self, mu, sigma2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float range"):
+                sample(LogNormalParams(mu, sigma2), 2, 0)
+
+    @pytest.mark.parametrize("mu", [700.0, -700.0])
+    def test_accepts_draws_near_float_range_ends(self, mu):
+        for x in sample(LogNormalParams(mu, 0.0), 2, 0).tolist():
+            assert rel_diff(x, math.exp(mu)) <= 1e-15
+
+    def test_rejects_length_no_array_can_hold(self):
+        with pytest.raises(DomainError, match="n must be <="):
+            sample(LogNormalParams(0.0, 1.0), MAX_FLOAT_ARRAY_LEN + 1, 0)
