@@ -52,16 +52,27 @@ def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -
         raise DomainError(f"{name} must be <= {maximum}, got {value}")
 
 
-def check_positive(value: float, name: str) -> None:
-    """DomainError unless value is a positive finite float."""
+def check_positive(value: float, name: str, maximum: float = math.inf) -> None:
+    """DomainError unless value is a positive finite float, and at most maximum
+    when one is given."""
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value}")
+    _check_at_most(value, name, maximum)
 
 
-def check_at_least(value: float, name: str, minimum: float = 0.0) -> None:
-    """DomainError unless value is a finite float >= minimum (by default, non-negative)."""
+def check_at_least(
+    value: float, name: str, minimum: float = 0.0, maximum: float = math.inf
+) -> None:
+    """DomainError unless value is a finite float >= minimum (by default,
+    non-negative), and at most maximum when one is given."""
     if not (math.isfinite(value) and value >= minimum):
         raise DomainError(f"{name} must be >= {minimum:g} and finite, got {value}")
+    _check_at_most(value, name, maximum)
+
+
+def _check_at_most(value: float, name: str, maximum: float) -> None:
+    if value > maximum:
+        raise DomainError(f"{name} must be <= {maximum!r}, got {value!r}")
 
 
 def _off_support(xs: np.ndarray) -> np.ndarray:

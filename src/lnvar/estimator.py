@@ -3,12 +3,15 @@
 The accumulator keeps just enough running sums to read out the arithmetic,
 harmonic and geometric means, the relative mean ratio, and a conventional
 moment-based squared coefficient of variation.  Values arrive in blocks (a
-1-D array per call to extend); each block's sum_x and sum_inv_x is taken
-exactly (Shewchuk summation via math.fsum) and refolded with math.fsum into
-a running (hi, lo) pair, so merge is exactly commutative.  Reciprocals of a
-widely spread sample span many orders of magnitude, and naive accumulation
-visibly biases the harmonic mean once samples reach the millions.  sum_x2
-stays a plain left-to-right running sum.
+1-D array per call to extend); sum_x and sum_inv_x are exact running sums
+(ExactSum, below) read out correctly rounded, so the readings do not depend
+on how a sample is split into blocks or merged.  Reciprocals of a widely
+spread sample span many orders of magnitude, and naive accumulation visibly
+biases the harmonic mean once samples reach the millions.  sum_x2 stays a
+plain left-to-right running sum.
+
+ExactSum is the one summation scheme of the package: the simulator reduces
+its per-run estimates with it too.
 
 Alongside the data-facing estimators, this module holds the closed-form
 population predictions for the relative ratio: its expected value, its
@@ -39,6 +42,7 @@ from .errors import (
 __all__ = [
     "SampleAccumulator",
     "EstimateReport",
+    "ExactSum",
     "kn_from_sums",
     "expected_k_n",
     "var_k_n",
@@ -52,19 +56,104 @@ __all__ = [
 # Below this the efficiency ratio is 1 to within one ulp.
 _EFFICIENCY_UNIT_THRESHOLD = 1e-12
 
+# ExactSum writes a finite float as M * 2**(i - _SCALE_BITS): M is np.frexp's
+# mantissa scaled to an integer, |M| < 2**53, and the bin index i is frexp's
+# exponent plus _EXP_OFFSET, in [1, 2098].  M splits into a low limb in
+# [0, 2**26) at bin i and a signed high limb in [-2**27, 2**27) at bin i + 26,
+# so each value moves a bin by at most 2**27.  A float64 bincount of _BLOCK
+# values is then exact (2**15 * 2**27 < 2**53), and an int64 bin holds the
+# limbs of _MAX_COUNT values before it could wrap (2**36 * 2**27 = 2**63).
+_EXP_OFFSET = 1074
+_LIMB_BITS = 26
+_EXP_BINS = 2099
+_SCALE_BITS = 1127
+_SCALE = 1 << _SCALE_BITS
+_BLOCK = 1 << 15
+_MAX_COUNT = 1 << 36
 
-def _fsum(terms: Iterable[float], quantity: str) -> float:
-    """math.fsum, or OverflowError naming the quantity when the sum leaves the float range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        raise OverflowError(f"{quantity} overflows a float") from None
 
+class ExactSum:
+    """The exact sum of float64 values, read out correctly rounded.
 
-def _refold(quantity: str, *terms: float) -> tuple[float, float]:
-    """The sum of terms as a (hi, lo) pair: hi correctly rounded, lo the rounded remainder."""
-    hi = _fsum(terms, quantity)
-    return hi, math.fsum((*terms, -hi))
+    A small superaccumulator (Neal 2015, arXiv:1505.05571; Kulisch's long
+    accumulator): numpy sums the integer mantissa limbs of a block by
+    exponent with np.bincount, and the per-exponent bins add up as int64.
+    value() folds the bins into one Python int and divides it by
+    2**_SCALE_BITS; CPython rounds that division correctly, subnormals
+    included, so the reading equals math.fsum over the same values.  Adding
+    two sums adds their bins, which is exactly associative, so the reading
+    does not depend on how the values were split or in which order the parts
+    were added.
+    """
+
+    __slots__ = ("_bins", "_carry", "_count")
+
+    def __init__(self) -> None:
+        self._bins = np.zeros(_EXP_BINS + _LIMB_BITS, dtype=np.int64)
+        self._carry = 0  # bins folded into a Python int, scaled as the bins are
+        self._count = 0  # values in _bins since they were last folded
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "ExactSum":
+        """The sum of a 1-D float64 array; DomainError if a value is not finite."""
+        total = cls()
+        for start in range(0, values.size, _BLOCK):
+            block = values[start : start + _BLOCK]
+            mantissa, exponent = np.frexp(block)
+            exponent += _EXP_OFFSET
+            mantissa *= 2.0 ** (53 - _LIMB_BITS)
+            high = np.floor(mantissa)
+            with np.errstate(invalid="ignore"):
+                mantissa -= high  # exact: the fractional part of a float
+            mantissa *= 2.0**_LIMB_BITS
+            low = np.bincount(exponent, weights=mantissa, minlength=_EXP_BINS)
+            # an inf or a nan leaves a nan low limb
+            if not np.isfinite(low).all():
+                raise DomainError("cannot sum a value that is not finite")
+            part = cls()
+            part._bins[:_EXP_BINS] = low.astype(np.int64)
+            high = np.bincount(exponent, weights=high, minlength=_EXP_BINS)
+            part._bins[_LIMB_BITS:] += high.astype(np.int64)
+            part._count = block.size
+            total += part
+        return total
+
+    def __add__(self, other: "ExactSum") -> "ExactSum":
+        out = ExactSum()
+        out._carry = self._carry + other._carry
+        out._count = self._count + other._count
+        if out._count > _MAX_COUNT:
+            # the int64 bins could wrap: fold them into the Python int
+            out._carry += self._binned() + other._binned()
+            out._count = 0
+        else:
+            np.add(self._bins, other._bins, out=out._bins)
+        return out
+
+    def _binned(self) -> int:
+        """The bins as one Python int, scaled by 2**_SCALE_BITS."""
+        nonzero = np.flatnonzero(self._bins)
+        return sum(b << i for i, b in zip(nonzero.tolist(), self._bins[nonzero].tolist()))
+
+    def value(self, quantity: str = "sum") -> float:
+        """The sum, correctly rounded; OverflowError naming quantity beyond the float range."""
+        try:
+            return (self._carry + self._binned()) / _SCALE
+        except OverflowError:
+            raise OverflowError(f"{quantity} overflows a float") from None
+
+    def checked(self, quantity: str) -> "ExactSum":
+        """self, or OverflowError naming quantity when the sum is beyond the float range.
+
+        With top the highest nonzero bin, the sum is below
+        2**(top + 28 + count.bit_length() - _SCALE_BITS), so a sum is read
+        out only when that bound passes 2**1023.
+        """
+        nonzero = np.flatnonzero(self._bins)
+        top = int(nonzero[-1]) if nonzero.size else 0
+        if self._carry or top + 28 + self._count.bit_length() > _SCALE_BITS + 1023:
+            self.value(quantity)
+        return self
 
 
 def _finite(value: float, quantity: str) -> float:
@@ -109,16 +198,16 @@ class SampleAccumulator:
 
     Accumulators are plain values: fill independent ones on separate
     workers and combine them with merge (component-wise sums).  sum_x and
-    sum_inv_x are each kept as a (hi, lo) pair: hi is the running total, lo
-    the part of it that hi's rounding left out.
+    sum_inv_x are ExactSums, so any split into blocks and any merge tree
+    give the same readings; sum_x2 is a float summed in arrival order.
     """
 
     __slots__ = ("n", "_sx", "_sinv", "_sx2")
 
     def __init__(self) -> None:
         self.n = 0
-        self._sx = (0.0, 0.0)
-        self._sinv = (0.0, 0.0)
+        self._sx = ExactSum()
+        self._sinv = ExactSum()
         self._sx2 = 0.0
 
     @classmethod
@@ -137,11 +226,11 @@ class SampleAccumulator:
 
     @property
     def sum_x(self) -> float:
-        return self._sx[0]
+        return self._sx.value("sum_x")
 
     @property
     def sum_inv_x(self) -> float:
-        return self._sinv[0]
+        return self._sinv.value("sum_inv_x")
 
     @property
     def sum_x2(self) -> float:
@@ -163,9 +252,8 @@ class SampleAccumulator:
         if xs.size == 0:
             return
         check_support(xs)
-        inv = 1.0 / xs
-        sx = _refold("sum_x", *self._sx, _fsum(xs.tolist(), "sum_x"))
-        sinv = _refold("sum_inv_x", *self._sinv, _fsum(inv.tolist(), "sum_inv_x"))
+        sx = (self._sx + ExactSum.of(xs)).checked("sum_x")
+        sinv = (self._sinv + ExactSum.of(1.0 / xs)).checked("sum_inv_x")
         # left to right from the running value, exactly as one add per value;
         # a sum of squares that overflows is reported by cv2_conventional
         with np.errstate(over="ignore"):
@@ -176,11 +264,12 @@ class SampleAccumulator:
         self.n += xs.size
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
-        """Component-wise combination; commutative, with the empty accumulator as identity."""
+        """Component-wise combination; commutative, with the empty accumulator as
+        identity, and exactly associative in sum_x and sum_inv_x."""
         out = SampleAccumulator()
         out.n = self.n + other.n
-        out._sx = _refold("sum_x", *self._sx, *other._sx)
-        out._sinv = _refold("sum_inv_x", *self._sinv, *other._sinv)
+        out._sx = (self._sx + other._sx).checked("sum_x")
+        out._sinv = (self._sinv + other._sinv).checked("sum_inv_x")
         out._sx2 = self._sx2 + other._sx2
         return out
 

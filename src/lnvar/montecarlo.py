@@ -9,10 +9,10 @@ predictions.
 Reproducibility contract: per-cell seeds derive from (master_seed, row-major
 cell index) through numpy's SeedSequence mixing, so any cell can be re-run in
 isolation; draws come from an independent PCG64 stream per cell; per-run
-estimates are reduced with exact (Shewchuk) summation so the aggregates do
-not depend on chunking.  A grid runs its cells concurrently, one thread per
-available CPU (numpy releases the GIL in the sampling kernel); since no
-stream is shared between cells, the results do not depend on the thread
+estimates are reduced with the estimator's exact summation (ExactSum), so the
+aggregates do not depend on chunking.  A grid runs its cells concurrently, one
+thread per available CPU (numpy releases the GIL in the sampling kernel); since
+no stream is shared between cells, the results do not depend on the thread
 count.
 """
 
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -31,10 +32,11 @@ from .errors import (
     MAX_FLOAT_ARRAY_LEN,
     BudgetExceededError,
     DomainError,
+    check_at_least,
     check_int,
     check_positive,
 )
-from .estimator import kn_from_sums, large_sample_efficiency, sd_k_hat
+from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
 from .model import params_from_gk
 
 __all__ = [
@@ -58,7 +60,7 @@ DEFAULT_MAX_DRAWS = 10**9
 BUDGET_ENV_VAR = "LNVAR_MAX_DRAWS"
 # draws per sampling chunk, and per-run estimates per chunk of the exact
 # reduction.  The bytes do not depend on it (a normal stream is the same for
-# any split, and the sums are exact); it sets the per-cell working set, of
+# any split, and ExactSum is exact); it sets the per-cell working set, of
 # which one is alive per thread.  Peak RSS of `lnvar simulate` on the default
 # grid with two threads (x86-64, Python 3.11, numpy 2.4): 184 MB at 1 << 20,
 # 83 MB at 1 << 18, 64 MB at 1 << 17, 58 MB at 1 << 16, 54 MB at 1 << 15,
@@ -68,6 +70,12 @@ _CHUNK_ELEMS = 1 << 15
 DEFAULT_N_VALUES = (2, 10, 100)
 DEFAULT_CV_VALUES = (0.1, 0.5, 1.0)
 DEFAULT_RUNS_CAP = 10**6
+
+# the largest cv whose square, the population's k, is a float
+_CV_MAX = math.sqrt(sys.float_info.max)
+# the log-space means whose geometric mean exp(mu_y) is a positive float
+_MU_Y_MIN = math.log(math.ulp(0.0))
+_MU_Y_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -108,14 +116,12 @@ class GridConfig:
         for n in self.n_values:
             check_int(n, "n", 2)
         for cv in self.cv_values:
-            check_positive(cv, "cv")
+            _check_population(cv, self.mu_y)
         check_int(self.master_seed, "master_seed", 0)
         if self.runs_override is not None:
             check_int(self.runs_override, "runs_override", 2)
         if self.runs_cap is not None:
             check_int(self.runs_cap, "runs_cap", 2)
-        if not math.isfinite(self.mu_y):
-            raise DomainError(f"mu_y must be finite, got {self.mu_y}")
 
     @classmethod
     def default(cls, master_seed: int = DEFAULT_MASTER_SEED) -> "GridConfig":
@@ -153,6 +159,12 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_population(cv: float, mu_y: float) -> None:
+    """DomainError unless cv^2 and exp(mu_y) are positive floats."""
+    check_positive(cv, "cv", _CV_MAX)
+    check_at_least(mu_y, "mu_y", _MU_Y_MIN, _MU_Y_MAX)
+
+
 def _resolve_budget() -> int:
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
@@ -172,10 +184,11 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
     analytic predictions cv^2 and sd_k_hat(n, cv^2).  A cell of more draws
     than LNVAR_MAX_DRAWS (DEFAULT_MAX_DRAWS when unset) raises
-    BudgetExceededError.
+    BudgetExceededError.  A run whose draws or estimate leave the float range
+    (say mu_y = 705 with cv = 3) raises DomainError, without a numpy warning.
     """
     check_int(n, "n", 2)
-    check_positive(cv, "cv")
+    _check_population(cv, mu_y)
     check_int(runs, "runs", 2)
     check_int(seed, "seed", 0)
 
@@ -202,19 +215,35 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
     rng = np.random.default_rng(seed)
 
     estimates = np.empty(runs, dtype=np.float64)
-    rows_per_chunk = max(1, _CHUNK_ELEMS // n)
-    done = 0
-    while done < runs:
-        rows = min(rows_per_chunk, runs - done)
-        x = np.exp(rng.normal(mu_y, sigma, size=(rows, n)))
-        kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
-        estimates[done : done + rows] = kn * correction
-        done += rows
-
     chunks = [estimates[i : i + _CHUNK_ELEMS] for i in range(0, runs, _CHUNK_ELEMS)]
-    mean = math.fsum(chain.from_iterable(c.tolist() for c in chunks)) / runs
-    sq_resid = math.fsum(chain.from_iterable(np.square(c - mean).tolist() for c in chunks))
-    sd = math.sqrt(sq_resid / (runs - 1))
+    rows_per_draw = max(1, _CHUNK_ELEMS // n)
+
+    def exact_sum(chunk: np.ndarray) -> ExactSum:
+        try:
+            return ExactSum.of(chunk)
+        except DomainError:
+            raise DomainError(
+                f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
+                "leave the float range"
+            ) from None
+
+    # a draw or a sum beyond the float range ends as an inf or a nan estimate,
+    # which exact_sum refuses; numpy is not to warn on the way
+    with np.errstate(all="ignore"):
+        total = ExactSum()
+        for chunk in chunks:
+            # each chunk is summed while it is still in cache
+            for row in range(0, chunk.size, rows_per_draw):
+                rows = min(rows_per_draw, chunk.size - row)
+                x = np.exp(rng.normal(mu_y, sigma, size=(rows, n)))
+                kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
+                np.multiply(kn, correction, out=chunk[row : row + rows])
+            total += exact_sum(chunk)
+        mean = total.value("mean_khat") / runs
+        sq_resid = ExactSum()
+        for chunk in chunks:
+            sq_resid += exact_sum(np.square(chunk - mean))
+    sd = math.sqrt(sq_resid.value("sd_khat") / (runs - 1))
 
     return SimulationCell(
         n=n,

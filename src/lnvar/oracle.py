@@ -124,8 +124,18 @@ def exact_mean_kn(n: int, omega: float) -> float:
 
 
 def exact_var_kn(n: int, omega: float) -> float:
-    """Variance of the uncorrected relative ratio by full class enumeration."""
-    total = math.fsum(t.multiplicity * t.covariance_value for t in term_table(n, omega))
+    """Variance of the uncorrected relative ratio by full class enumeration.
+
+    DomainError when a term or the sum of the terms leaves the float range.
+    """
+    try:
+        total = math.fsum(t.multiplicity * t.covariance_value for t in term_table(n, omega))
+    except (OverflowError, ValueError):  # fsum past the float range, or of inf and -inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise DomainError(
+            f"omega={omega!r} takes the enumerated variance at n={n} beyond the float range"
+        )
     return total / float(n) ** 4
 
 
@@ -195,7 +205,11 @@ def run_verification(
     max_n: int = DEFAULT_MAX_N,
     omegas: Iterable[float] = DEFAULT_OMEGAS,
 ) -> VerificationReport:
-    """Cross-check the enumeration oracle against the closed-form predictions."""
+    """Cross-check the enumeration oracle against the closed-form predictions.
+
+    An omega that takes an enumerated or closed-form value beyond the float
+    range raises DomainError; it is not reported as a mismatch.
+    """
     check_int(max_n, "max_n", 2)
     omegas = list(omegas)
     if not omegas:
@@ -234,6 +248,11 @@ def run_verification(
                 group.checks += 1
                 got = enumerated_fn(n, omega)
                 want = closed_form(n, omega - 1.0)
+                if not (math.isfinite(got) and math.isfinite(want)):
+                    raise DomainError(
+                        f"omega={omega!r} takes the {noun} at n={n} beyond the float range: "
+                        f"enumeration {got!r}, closed form {want!r}"
+                    )
                 if not _rel_close(got, want):
                     group.failures.append(
                         f"n={n} omega={omega:g}: enumeration {noun} {got!r} "

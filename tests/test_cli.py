@@ -379,6 +379,27 @@ class TestSimulate:
         code, _, _ = run_main(["simulate", "--n", "two"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (["--mu-y", "705", "--n", "2", "--cv", "3", "--runs", "100000"], "mu_y=705, cv=3"),
+            (["--mu-y", "-705", "--n", "2", "--cv", "3", "--runs", "100000"], "mu_y=-705, cv=3"),
+            (["--n", "2", "--cv", "1e300", "--runs", "10"], "cv must be"),
+            (["--mu-y", "800", "--n", "2", "--cv", "0.5", "--runs", "10"], "mu_y must be"),
+        ],
+    )
+    def test_float_range_errors_name_the_flag(self, tmp_path, capsys, flags, names):
+        out = tmp_path / "grid.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_main(["simulate", *flags, "-o", str(out)], capsys)
+        assert code == EXIT_DATA
+        assert stdout == ""
+        assert err.startswith(f"error: {names}") and err.count("\n") == 1
+        # the cv > 2 advisory is the only warning: none from numpy
+        assert all(str(w.message).startswith("cv=3 > 2") for w in caught)
+        assert not out.exists()
+
     def test_default_grid_flags(self):
         from lnvar.cli import _parse_list, build_parser
 
@@ -508,6 +529,13 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "shared_numerator" in err
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("flags", [["--omega", "1e300"], ["--max-n", "3", "--omega", "1e200"]])
+    def test_omega_beyond_float_range_is_a_data_error(self, capsys, flags):
+        code, out, err = run_main(["verify", *flags], capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: omega=") and err.count("\n") == 1
 
     def test_empty_omega_list_is_a_data_error(self, capsys):
         code, out, err = run_main(["verify", "--omega", ","], capsys)

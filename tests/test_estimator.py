@@ -1,11 +1,15 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lnvar import estimator
 from lnvar.errors import DomainError, EmptySampleError, SampleTooSmallError
 from lnvar.estimator import (
+    ExactSum,
     SampleAccumulator,
     expected_k_n,
     large_sample_efficiency,
@@ -76,8 +80,8 @@ class TestAccumulate:
 
     def test_blocks_match_per_value_reference(self):
         # sum_x2 keeps the per-value arithmetic, so it matches a plain loop
-        # exactly; sum_x and sum_inv_x are exact per block, so they stay
-        # within an ulp or two of exact summation however the blocks fall
+        # exactly; sum_x and sum_inv_x are exact, so they match math.fsum
+        # however the blocks fall
         values = np.exp(np.random.default_rng(6).normal(0.0, 2.0, size=5000))
         acc = SampleAccumulator()
         for block in np.array_split(values, [1, 1, 2, 700, 701, 3000]):
@@ -87,17 +91,28 @@ class TestAccumulate:
             sum_x2 += x * x
         assert acc.n == values.size
         assert acc.sum_x2 == sum_x2
-        assert rel_diff(acc.sum_x, math.fsum(values)) <= 4e-16
-        assert rel_diff(acc.sum_inv_x, math.fsum(1.0 / values)) <= 4e-16
+        assert acc.sum_x == math.fsum(values)
+        assert acc.sum_inv_x == math.fsum(1.0 / values)
 
     def test_compensated_sums_track_exact_reference(self):
-        # widely spread values: sums must stay within a couple ulps of
-        # exact (Shewchuk) summation at 1e5 observations
+        # widely spread values at 1e5 observations, across several kernel blocks
         rng = np.random.default_rng(9)
         values = np.exp(rng.normal(0.0, math.sqrt(math.log(5.0)), size=10**5))
         acc = SampleAccumulator.from_values(values)
-        assert rel_diff(acc.sum_x, math.fsum(values)) <= 1e-14
-        assert rel_diff(acc.sum_inv_x, math.fsum(1.0 / values)) <= 1e-14
+        assert acc.sum_x == math.fsum(values)
+        assert acc.sum_inv_x == math.fsum(1.0 / values)
+
+    def test_any_split_into_blocks_gives_the_same_repr(self):
+        # sum_x2 is summed in arrival order, which extend keeps for any split
+        rng = np.random.default_rng(12)
+        values = np.exp(rng.normal(0.0, 3.0, size=3000))
+        whole = repr(SampleAccumulator.from_values(values))
+        for _ in range(20):
+            cuts = np.sort(rng.integers(0, values.size, size=rng.integers(1, 8)))
+            acc = SampleAccumulator()
+            for block in np.split(values, cuts):
+                acc.extend(block)
+            assert repr(acc) == whole
 
 
 class TestMerge:
@@ -119,6 +134,38 @@ class TestMerge:
         assert ab.sum_inv_x == ba.sum_inv_x
         assert ab.sum_x2 == ba.sum_x2
 
+    @staticmethod
+    def trees(parts):
+        """Every merge tree over the accumulators in parts, in this order."""
+        if len(parts) == 1:
+            yield parts[0]
+            return
+        for i in range(1, len(parts)):
+            for left in TestMerge.trees(parts[:i]):
+                for right in TestMerge.trees(parts[i:]):
+                    yield left.merge(right)
+
+    def test_any_merge_tree_gives_the_same_repr(self):
+        # Merging (1 + 2^-53) with 2^-110 first and then 2^-51 used to round
+        # away the 2^-110 that breaks the final tie, so ((a+b)+c)+d and
+        # a+(b+(c+d)) differed in sum_x; every sum_x2 here rounds to 1.0
+        values = [1.0, 2.0**-53, 2.0**-110, 2.0**-51]
+        whole = repr(SampleAccumulator.from_values(values))
+        assert SampleAccumulator.from_values(values).sum_x == 1.0 + 3 * 2.0**-52
+        singles = [SampleAccumulator.from_values([v]) for v in values]
+        for order in itertools.permutations(singles):
+            for merged in self.trees(list(order)):
+                assert repr(merged) == whole
+
+    def test_any_merge_tree_gives_the_same_sums(self):
+        rng = np.random.default_rng(13)
+        values = np.exp(rng.normal(0.0, 20.0, size=400))
+        want = (values.size, math.fsum(values), math.fsum(1.0 / values))
+        parts = [SampleAccumulator.from_values(b) for b in np.array_split(values, 5)]
+        for order in itertools.permutations(parts):
+            for merged in self.trees(list(order)):
+                assert (merged.n, merged.sum_x, merged.sum_inv_x) == want
+
     def test_empty_identity(self):
         empty = SampleAccumulator().merge(SampleAccumulator())
         assert empty.n == 0
@@ -126,6 +173,94 @@ class TestMerge:
         a = SampleAccumulator.from_values([3.0, 7.0])
         same = a.merge(SampleAccumulator())
         assert (same.n, same.sum_x, same.sum_inv_x) == (a.n, a.sum_x, a.sum_inv_x)
+
+
+def _finite_floats(rng, size):
+    """Floats from random bit patterns: both signs, every exponent, subnormals."""
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+class TestExactSum:
+    @pytest.mark.parametrize(
+        "size", [1, 2, estimator._BLOCK - 1, estimator._BLOCK, estimator._BLOCK + 1]
+    )
+    def test_equals_fsum_across_the_float_range(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(5):
+            # below 2^1000 in magnitude, so that no sum leaves the float range
+            values = _finite_floats(rng, size)
+            values = values[np.abs(values) < 2.0**1000]
+            assert repr(ExactSum.of(values).value()) == repr(math.fsum(values.tolist()))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5e-324],
+            [5e-324, 5e-324, -5e-324],
+            [2.2250738585072014e-308, -5e-324],
+            [1e100, 1.0, -1e100],
+            [1.0, 2.0**-53],
+            [1.0, 2.0**-53, 2.0**-110],
+            [-0.0],
+            [1e-300] * 1000 + [-1e-300] * 999,
+            [],
+        ],
+    )
+    def test_equals_fsum_on_edge_cases(self, values):
+        assert repr(ExactSum.of(np.array(values)).value()) == repr(math.fsum(values))
+
+    def test_partial_sums_may_leave_the_float_range(self):
+        # math.fsum raises "intermediate overflow" here
+        assert ExactSum.of(np.array([1e308, 1e308, -1e308])).value() == 1e308
+
+    def test_overflow_names_the_quantity(self):
+        big = np.array([1.7976931348623157e308, 1e292])
+        with pytest.raises(OverflowError):
+            math.fsum(big.tolist())
+        with pytest.raises(OverflowError, match="^sum_x overflows a float"):
+            ExactSum.of(big).value("sum_x")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_refuses_non_finite(self, bad):
+        values = np.ones(estimator._BLOCK + 10)
+        values[estimator._BLOCK + 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                ExactSum.of(values)
+
+    def test_split_and_order_of_addition_do_not_matter(self):
+        rng = np.random.default_rng(14)
+        values = _finite_floats(rng, 5000)
+        values = values[np.abs(values) < 2.0**1000]
+        want = math.fsum(values.tolist())
+        for _ in range(20):
+            cuts = np.sort(rng.integers(0, values.size, size=rng.integers(1, 10)))
+            parts = [ExactSum.of(block) for block in np.split(values, cuts)]
+            rng.shuffle(parts)
+            total = ExactSum()
+            for part in parts:
+                total = part + total if rng.random() < 0.5 else total + part
+            assert total.value() == want
+
+    def test_bins_fold_into_an_int_before_they_could_wrap(self):
+        # x has the largest mantissa, so each copy adds 2^27 - 1 to its top bin.
+        # A part is made to stand for `copies` copies of x by scaling its bins,
+        # instead of summing that many values.
+        x = 1.0 - 2.0**-53
+        copies = estimator._MAX_COUNT // 2 + 2**10
+        part = ExactSum.of(np.array([x]))
+        part._bins *= copies
+        part._count = copies
+        assert 2 * int(part._bins.max()) > np.iinfo(np.int64).max
+        total = part + part
+        want = Fraction(x) * 2 * copies
+        assert total.value() == float(want)
+        # and past the fold, sums keep adding exactly
+        total = total + ExactSum.of(np.array([x])) + part
+        assert total.value() == float(want + Fraction(x) * (1 + copies))
 
 
 class TestMeans:

@@ -1,12 +1,14 @@
 import itertools
 import math
 import threading
+import warnings
 
+import numpy as np
 import pytest
 
 from lnvar import montecarlo
 from lnvar.errors import BudgetExceededError, DomainError
-from lnvar.estimator import large_sample_efficiency, sd_k_hat
+from lnvar.estimator import kn_from_sums, large_sample_efficiency, sd_k_hat
 from lnvar.montecarlo import (
     BUDGET_ENV_VAR,
     GridConfig,
@@ -105,6 +107,43 @@ class TestRunCell:
             run_cell(4, 0.0, 100, 1)
         with pytest.raises(DomainError):
             run_cell(4, 0.5, 1, 1)
+
+    def test_reduction_equals_fsum_of_the_estimates(self):
+        # runs straddle two reduction chunks; the per-run estimates are redrawn
+        # here in one piece, since a normal stream is the same for any split
+        n, cv, runs, seed = 2, 0.7, montecarlo._CHUNK_ELEMS + 5, 41
+        cell = run_cell(n, cv, runs, seed)
+        sigma = math.sqrt(math.log1p(cv * cv))
+        x = np.exp(np.random.default_rng(seed).normal(0.0, sigma, size=(runs, n)))
+        estimates = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n) * (n / (n - 1.0))
+        mean = math.fsum(estimates.tolist()) / runs
+        sq_resid = math.fsum(np.square(estimates - mean).tolist())
+        assert (cell.mean_khat, cell.sd_khat) == (mean, math.sqrt(sq_resid / (runs - 1)))
+
+    @pytest.mark.parametrize(
+        "mu_y, cv", [(705.0, 3.0), (-705.0, 3.0), (709.0, 1.0), (-744.0, 0.1)]
+    )
+    def test_estimates_beyond_float_range_raise(self, mu_y, cv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=rf"^mu_y={mu_y:g}, cv={cv:g}: "):
+                run_cell(2, cv, 10**5, 3, mu_y=mu_y)
+        # only the cv > 2 advisory, no numpy warning
+        assert [str(w.message)[:3] for w in caught] == ["cv="] * (cv > 2)
+
+    @pytest.mark.parametrize(
+        "cv, mu_y, name",
+        [(1e300, 0.0, "cv"), (1.5e154, 0.0, "cv"), (0.5, 800.0, "mu_y"), (0.5, -800.0, "mu_y")],
+    )
+    def test_population_beyond_float_range_names_the_parameter(self, cv, mu_y, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            run_cell(2, cv, 10, 1, mu_y=mu_y)
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            GridConfig(n_values=[2], cv_values=[cv], mu_y=mu_y)
+
+    def test_population_range_edges_are_accepted(self):
+        GridConfig(n_values=[2], cv_values=[montecarlo._CV_MAX], mu_y=montecarlo._MU_Y_MAX)
+        GridConfig(n_values=[2], cv_values=[0.5], mu_y=montecarlo._MU_Y_MIN)
 
 
 class TestGridConfig:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -163,3 +164,20 @@ class TestVerification:
     def test_rejects_empty_omegas(self):
         with pytest.raises(DomainError, match="omegas"):
             run_verification(omegas=[])
+
+    @pytest.mark.parametrize(
+        "max_n, omega, quantity",
+        [
+            (12, 1e300, "enumerated variance"),
+            (3, 1e200, "enumerated variance"),
+            (2, 1e154, "enumerated variance"),
+            (2, 1e77, "enumerated variance"),
+            (2, 1.7e308, "mean"),
+        ],
+    )
+    def test_omega_beyond_float_range_is_a_domain_error(self, max_n, omega, quantity):
+        # an infinite enumeration used to pass as "close" to a finite or an
+        # infinite closed form, and at 1e154 math.fsum raised ValueError on
+        # inf - inf
+        with pytest.raises(DomainError, match=re.escape(f"omega={omega!r} takes the {quantity}")):
+            run_verification(max_n=max_n, omegas=[2.0, omega])
