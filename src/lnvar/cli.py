@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from typing import ContextManager, Optional, Sequence, TextIO
 
@@ -356,5 +357,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI shows it: one line, without the source location."""
+    return f"warning: {message}\n"
+
+
 def entrypoint() -> None:
+    warnings.formatwarning = _format_warning
     sys.exit(main())

@@ -3,9 +3,9 @@
 The accumulator keeps just enough running sums to read out the arithmetic,
 harmonic and geometric means, the relative mean ratio, and a conventional
 moment-based squared coefficient of variation.  Values arrive in blocks (a
-1-D array per call to extend); sum_x and sum_inv_x are exact running sums
-(ExactSum, below) read out correctly rounded, so the readings do not depend
-on how a sample is split into blocks or merged.  Reciprocals of a widely
+1-D array per call to extend); sum_x and sum_inv_x are exact running sums,
+each one Python int (ExactSum, below) read out correctly rounded, so the
+readings do not depend on how a sample is split into blocks or merged.  Reciprocals of a widely
 spread sample span many orders of magnitude, and naive accumulation visibly
 biases the harmonic mean once samples reach the millions.  sum_x2 stays a
 plain left-to-right running sum.
@@ -59,44 +59,40 @@ _EFFICIENCY_UNIT_THRESHOLD = 1e-12
 # ExactSum writes a finite float as M * 2**(i - _SCALE_BITS): M is np.frexp's
 # mantissa scaled to an integer, |M| < 2**53, and the bin index i is frexp's
 # exponent plus _EXP_OFFSET, in [1, 2098].  M splits into a low limb in
-# [0, 2**26) at bin i and a signed high limb in [-2**27, 2**27) at bin i + 26,
-# so each value moves a bin by at most 2**27.  A float64 bincount of _BLOCK
-# values is then exact (2**15 * 2**27 < 2**53), and an int64 bin holds the
-# limbs of _MAX_COUNT values before it could wrap (2**36 * 2**27 = 2**63).
+# [0, 2**26) at bin i and a signed high limb in [-2**27, 2**27) at bin i + 26.
+# A float64 bincount of _BLOCK values is then exact (2**15 * 2**27 < 2**53), as
+# is adding a block's high-limb bins onto its low-limb bins (both below 2**42).
 _EXP_OFFSET = 1074
 _LIMB_BITS = 26
 _EXP_BINS = 2099
 _SCALE_BITS = 1127
 _SCALE = 1 << _SCALE_BITS
 _BLOCK = 1 << 15
-_MAX_COUNT = 1 << 36
 
 
 class ExactSum:
     """The exact sum of float64 values, read out correctly rounded.
 
     A small superaccumulator (Neal 2015, arXiv:1505.05571; Kulisch's long
-    accumulator): numpy sums the integer mantissa limbs of a block by
-    exponent with np.bincount, and the per-exponent bins add up as int64.
-    value() folds the bins into one Python int and divides it by
-    2**_SCALE_BITS; CPython rounds that division correctly, subnormals
+    accumulator) held as one Python int, the sum scaled by 2**_SCALE_BITS.
+    numpy sums the integer mantissa limbs of a block by exponent with
+    np.bincount, and the block's bins fold into the int.  value() divides the
+    int by 2**_SCALE_BITS; CPython rounds that division correctly, subnormals
     included, so the reading equals math.fsum over the same values.  Adding
-    two sums adds their bins, which is exactly associative, so the reading
+    two sums adds their ints, which is exactly associative, so the reading
     does not depend on how the values were split or in which order the parts
     were added.
     """
 
-    __slots__ = ("_bins", "_carry", "_count")
+    __slots__ = ("_scaled",)
 
-    def __init__(self) -> None:
-        self._bins = np.zeros(_EXP_BINS + _LIMB_BITS, dtype=np.int64)
-        self._carry = 0  # bins folded into a Python int, scaled as the bins are
-        self._count = 0  # values in _bins since they were last folded
+    def __init__(self, scaled: int = 0) -> None:
+        self._scaled = scaled
 
     @classmethod
     def of(cls, values: np.ndarray) -> "ExactSum":
         """The sum of a 1-D float64 array; DomainError if a value is not finite."""
-        total = cls()
+        scaled = 0
         for start in range(0, values.size, _BLOCK):
             block = values[start : start + _BLOCK]
             mantissa, exponent = np.frexp(block)
@@ -106,53 +102,29 @@ class ExactSum:
             with np.errstate(invalid="ignore"):
                 mantissa -= high  # exact: the fractional part of a float
             mantissa *= 2.0**_LIMB_BITS
-            low = np.bincount(exponent, weights=mantissa, minlength=_EXP_BINS)
+            bins = np.bincount(exponent, weights=mantissa, minlength=_EXP_BINS + _LIMB_BITS)
             # an inf or a nan leaves a nan low limb
-            if not np.isfinite(low).all():
+            if not np.isfinite(bins).all():
                 raise DomainError("cannot sum a value that is not finite")
-            part = cls()
-            part._bins[:_EXP_BINS] = low.astype(np.int64)
-            high = np.bincount(exponent, weights=high, minlength=_EXP_BINS)
-            part._bins[_LIMB_BITS:] += high.astype(np.int64)
-            part._count = block.size
-            total += part
-        return total
+            bins[_LIMB_BITS:] += np.bincount(exponent, weights=high, minlength=_EXP_BINS)
+            nonzero = np.flatnonzero(bins)
+            limbs = bins[nonzero].astype(np.int64).tolist()
+            scaled += sum(b << i for i, b in zip(nonzero.tolist(), limbs))
+        return cls(scaled)
 
     def __add__(self, other: "ExactSum") -> "ExactSum":
-        out = ExactSum()
-        out._carry = self._carry + other._carry
-        out._count = self._count + other._count
-        if out._count > _MAX_COUNT:
-            # the int64 bins could wrap: fold them into the Python int
-            out._carry += self._binned() + other._binned()
-            out._count = 0
-        else:
-            np.add(self._bins, other._bins, out=out._bins)
-        return out
-
-    def _binned(self) -> int:
-        """The bins as one Python int, scaled by 2**_SCALE_BITS."""
-        nonzero = np.flatnonzero(self._bins)
-        return sum(b << i for i, b in zip(nonzero.tolist(), self._bins[nonzero].tolist()))
+        return ExactSum(self._scaled + other._scaled)
 
     def value(self, quantity: str = "sum") -> float:
         """The sum, correctly rounded; OverflowError naming quantity beyond the float range."""
         try:
-            return (self._carry + self._binned()) / _SCALE
+            return self._scaled / _SCALE
         except OverflowError:
             raise OverflowError(f"{quantity} overflows a float") from None
 
     def checked(self, quantity: str) -> "ExactSum":
-        """self, or OverflowError naming quantity when the sum is beyond the float range.
-
-        With top the highest nonzero bin, the sum is below
-        2**(top + 28 + count.bit_length() - _SCALE_BITS), so a sum is read
-        out only when that bound passes 2**1023.
-        """
-        nonzero = np.flatnonzero(self._bins)
-        top = int(nonzero[-1]) if nonzero.size else 0
-        if self._carry or top + 28 + self._count.bit_length() > _SCALE_BITS + 1023:
-            self.value(quantity)
+        """self, or OverflowError naming quantity when the sum is beyond the float range."""
+        self.value(quantity)
         return self
 
 

@@ -551,17 +551,31 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
 
-    def test_console_entry(self):
+    @staticmethod
+    def run_console(*argv):
         # the child imports the lnvar under test, installed or not
         paths = [os.path.dirname(os.path.dirname(lnvar.__file__)), os.environ.get("PYTHONPATH")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "lnvar", "verify", "--max-n", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "lnvar", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         )
+
+    def test_console_entry(self):
+        proc = self.run_console("verify", "--max-n", "3")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_library_warning_is_one_line_without_a_source_path(self):
+        proc = self.run_console("simulate", "--n", "2", "--cv", "3", "--runs", "100")
+        assert proc.returncode == EXIT_OK
+        with pytest.warns(RuntimeWarning, match="cv=3 > 2"):
+            cells = run_grid(GridConfig(n_values=[2], cv_values=[3.0], runs_override=100))
+        assert proc.stdout == cells_to_csv(cells)
+        warning, manifest = proc.stderr.splitlines()
+        assert warning.startswith("warning: cv=3 > 2: the estimator's variance grows")
+        assert json.loads(manifest)["command"] == "simulate"
 
     def test_fsig_round_trip(self):
         for v in (0.1, 1.6, 2.4859222776089562, 1e-12, 101010.0):

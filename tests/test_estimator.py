@@ -245,22 +245,16 @@ class TestExactSum:
                 total = part + total if rng.random() < 0.5 else total + part
             assert total.value() == want
 
-    def test_bins_fold_into_an_int_before_they_could_wrap(self):
-        # x has the largest mantissa, so each copy adds 2^27 - 1 to its top bin.
-        # A part is made to stand for `copies` copies of x by scaling its bins,
-        # instead of summing that many values.
+    def test_sum_of_2_to_the_40_copies_is_exact(self):
+        # x has the largest mantissa; doubling one copy 40 times stands for
+        # 2^40 copies, more than int64 bins of mantissa limbs could hold
         x = 1.0 - 2.0**-53
-        copies = estimator._MAX_COUNT // 2 + 2**10
-        part = ExactSum.of(np.array([x]))
-        part._bins *= copies
-        part._count = copies
-        assert 2 * int(part._bins.max()) > np.iinfo(np.int64).max
-        total = part + part
-        want = Fraction(x) * 2 * copies
-        assert total.value() == float(want)
-        # and past the fold, sums keep adding exactly
-        total = total + ExactSum.of(np.array([x])) + part
-        assert total.value() == float(want + Fraction(x) * (1 + copies))
+        total = ExactSum.of(np.array([x]))
+        for _ in range(40):
+            total = total + total
+        assert total.value() == float(Fraction(x) * 2**40)
+        total = total + ExactSum.of(np.array([x]))
+        assert total.value() == float(Fraction(x) * (2**40 + 1))
 
 
 class TestMeans:
