@@ -16,8 +16,10 @@ import warnings
 from datetime import datetime, timezone
 from typing import ContextManager, Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_support
 from .estimator import EstimateReport, SampleAccumulator
 from .model import LogNormalParams, params_from_gk, sample
 from .montecarlo import (
@@ -137,9 +139,8 @@ def _accumulate_stream(stream: TextIO, source: str) -> SampleAccumulator:
 
 
 def _raise_first_bad_line(stripped: list[str], offset: int, source: str) -> None:
-    """Re-read a rejected block, whose first line follows line `offset`, value by
+    """Re-check a rejected block, whose first line follows line `offset`, value by
     value to name the line at fault."""
-    probe = SampleAccumulator()
     for lineno, line in enumerate(stripped, start=offset + 1):
         if not line or line.startswith("#"):
             continue
@@ -148,7 +149,7 @@ def _raise_first_bad_line(stripped: list[str], offset: int, source: str) -> None
         except ValueError:
             raise DomainError(f"{source}:{lineno}: not a number: {line!r}") from None
         try:
-            probe.add(x)
+            check_support(np.array([x]))
         except DomainError as exc:
             raise DomainError(f"{source}:{lineno}: {exc}") from None
 
@@ -224,7 +225,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_efficiency(args: argparse.Namespace) -> int:
     if not args.min < args.max:
-        raise _UsageError(f"--min must be below --max, got {args.min} >= {args.max}")
+        # worded so that it holds for a nan too, which compares false both ways
+        raise _UsageError(
+            f"--min must be below --max, got --min {args.min} and --max {args.max}"
+        )
     if args.min <= 0:
         raise _UsageError(f"--min must be positive, got {args.min}")
     if args.points < 2:

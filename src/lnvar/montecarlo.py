@@ -9,11 +9,11 @@ predictions.
 Reproducibility contract: per-cell seeds derive from (master_seed, row-major
 cell index) through numpy's SeedSequence mixing, so any cell can be re-run in
 isolation; draws come from an independent PCG64 stream per cell; per-run
-estimates are reduced with the estimator's exact summation (ExactSum), so the
-aggregates do not depend on chunking.  A grid runs its cells concurrently, one
-thread per available CPU (numpy releases the GIL in the sampling kernel); since
-no stream is shared between cells, the results do not depend on the thread
-count.
+estimates are reduced with the estimator's exact summation (ExactSum), in two
+passes over the whole cell: the sum, then the sum of squared residuals.  A
+grid runs its cells concurrently, one thread per available CPU (numpy releases
+the GIL in the sampling kernel); since no stream is shared between cells, the
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ RUNS_NUMERATOR = 10**7
 DEFAULT_MASTER_SEED = 1729
 DEFAULT_MAX_DRAWS = 10**9
 BUDGET_ENV_VAR = "LNVAR_MAX_DRAWS"
-# draws per sampling chunk, and per-run estimates per chunk of the exact
-# reduction.  The bytes do not depend on it (a normal stream is the same for
-# any split, and ExactSum is exact); it sets the per-cell working set, of
-# which one is alive per thread.  Peak RSS of `lnvar simulate` on the default
-# grid with two threads (x86-64, Python 3.11, numpy 2.4): 184 MB at 1 << 20,
-# 83 MB at 1 << 18, 64 MB at 1 << 17, 58 MB at 1 << 16, 54 MB at 1 << 15,
-# 52 MB at 1 << 14 and 51 MB at 1 << 12, with no measurable change in time.
+# draws per sampling step, as _CHUNK_ELEMS // n runs of n draws.  The bytes do
+# not depend on it, since a normal stream is the same for any split; it sets
+# the working set of a step, of which one is alive per thread.  Peak RSS of
+# `lnvar simulate` on the default grid with two threads (x86-64, Python 3.11,
+# numpy 2.4): 131 MB at 1 << 20, 70 MB at 1 << 18, 60 MB at 1 << 17, 56 MB at
+# 1 << 16, 54 MB at 1 << 15 and 53 MB at 1 << 14 and 1 << 12, in about 1.1 s
+# each, except 1.35 s at 1 << 12.
 _CHUNK_ELEMS = 1 << 15
 
 DEFAULT_N_VALUES = (2, 10, 100)
@@ -215,34 +215,24 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
     rng = np.random.default_rng(seed)
 
     estimates = np.empty(runs, dtype=np.float64)
-    chunks = [estimates[i : i + _CHUNK_ELEMS] for i in range(0, runs, _CHUNK_ELEMS)]
     rows_per_draw = max(1, _CHUNK_ELEMS // n)
 
-    def exact_sum(chunk: np.ndarray) -> ExactSum:
+    # a draw or a sum beyond the float range ends as an inf or a nan estimate,
+    # which ExactSum refuses; numpy is not to warn on the way
+    with np.errstate(all="ignore"):
+        for row in range(0, runs, rows_per_draw):
+            x = np.exp(rng.normal(mu_y, sigma, size=(min(rows_per_draw, runs - row), n)))
+            kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
+            np.multiply(kn, correction, out=estimates[row : row + kn.size])
         try:
-            return ExactSum.of(chunk)
+            mean = ExactSum.of(estimates).value("mean_khat") / runs
+            estimates -= mean
+            sq_resid = ExactSum.of(np.square(estimates, out=estimates))
         except DomainError:
             raise DomainError(
                 f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
                 "leave the float range"
             ) from None
-
-    # a draw or a sum beyond the float range ends as an inf or a nan estimate,
-    # which exact_sum refuses; numpy is not to warn on the way
-    with np.errstate(all="ignore"):
-        total = ExactSum()
-        for chunk in chunks:
-            # each chunk is summed while it is still in cache
-            for row in range(0, chunk.size, rows_per_draw):
-                rows = min(rows_per_draw, chunk.size - row)
-                x = np.exp(rng.normal(mu_y, sigma, size=(rows, n)))
-                kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
-                np.multiply(kn, correction, out=chunk[row : row + rows])
-            total += exact_sum(chunk)
-        mean = total.value("mean_khat") / runs
-        sq_resid = ExactSum()
-        for chunk in chunks:
-            sq_resid += exact_sum(np.square(chunk - mean))
     sd = math.sqrt(sq_resid.value("sd_khat") / (runs - 1))
 
     return SimulationCell(

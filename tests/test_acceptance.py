@@ -5,12 +5,13 @@ shared between the unbiasedness and variance-law criteria and uses the
 published master seed (the package default, 1729).
 """
 
+import hashlib
 import math
 import time
 
 import pytest
 
-from lnvar.cli import main
+from lnvar.cli import cells_to_csv, main
 from lnvar.estimator import expected_k_n, var_k_n
 from lnvar.montecarlo import GridConfig, efficiency_curve, run_grid
 from lnvar.oracle import TermKind, exact_mean_kn, exact_var_kn, term_multiplicity
@@ -74,6 +75,13 @@ def test_c4_variance_law(default_grid):
             f"n={c.n} cv={c.cv}: sd {c.sd_khat} vs predicted {c.pred_sd}"
         )
     _report(4, "variance law on the default grid")
+
+
+def test_default_grid_bytes(default_grid):
+    # the one pinned digest whose cells hold more runs than one sampling step
+    cells, _ = default_grid
+    digest = "3a456dc86545cdb01a6d30e887508a3d744bff571b0d35c8d965c4140e63bc5d"
+    assert hashlib.sha256(cells_to_csv(cells).encode("ascii")).hexdigest() == digest
 
 
 def test_c5_efficiency_curve():

@@ -122,6 +122,14 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert ":1:" in err and "reciprocal overflows" in err
 
+    def test_bad_line_after_an_overflowing_sum_is_named(self, tmp_path, capsys):
+        # the sum of the first two lines overflows before line 3 is reached
+        data = tmp_path / "data.txt"
+        data.write_text("1e308\n1e308\n-1\n")
+        code, _, err = run_main(["estimate", str(data)], capsys)
+        assert code == EXIT_DATA
+        assert ":3:" in err and "positive reals" in err
+
     def test_underflowing_moment_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
         data.write_text("1e-170\n2e-170\n4e-170\n")
@@ -186,7 +194,7 @@ class TestEstimate:
         assert err.startswith("error:") and "cv2_conventional" in err
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
-    @pytest.mark.parametrize("bad", ["banana", "-4"])
+    @pytest.mark.parametrize("bad", ["banana", "-4", "5e-324"])
     def test_bad_line_past_first_block(self, tmp_path, capsys, monkeypatch, source, bad):
         rng = np.random.default_rng(8)
         lines = [repr(x) + "\n" for x in np.exp(rng.normal(0.0, 2.0, size=6000)).tolist()]
@@ -499,6 +507,14 @@ class TestEfficiency:
     def test_invalid_range(self, capsys):
         code, _, _ = run_main(["efficiency", "--min", "4", "--max", "1"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("bounds", [["--min", "nan", "--max", "2"], ["--max", "nan"]])
+    def test_nan_range_states_no_false_comparison(self, capsys, bounds):
+        code, out, err = run_main(["efficiency", *bounds], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: --min must be below --max, got --min ")
+        assert ">=" not in err
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "eff.csv"

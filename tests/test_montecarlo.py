@@ -108,10 +108,12 @@ class TestRunCell:
         with pytest.raises(DomainError):
             run_cell(4, 0.5, 1, 1)
 
-    def test_reduction_equals_fsum_of_the_estimates(self):
-        # runs straddle two reduction chunks; the per-run estimates are redrawn
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_reduction_equals_fsum_of_the_estimates(self, n):
+        # runs span several sampling steps and ExactSum blocks, which at n=7
+        # (4681 runs a step) do not line up; the per-run estimates are redrawn
         # here in one piece, since a normal stream is the same for any split
-        n, cv, runs, seed = 2, 0.7, montecarlo._CHUNK_ELEMS + 5, 41
+        cv, runs, seed = 0.7, 2 * montecarlo._CHUNK_ELEMS + 5, 41
         cell = run_cell(n, cv, runs, seed)
         sigma = math.sqrt(math.log1p(cv * cv))
         x = np.exp(np.random.default_rng(seed).normal(0.0, sigma, size=(runs, n)))
