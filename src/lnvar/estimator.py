@@ -3,12 +3,12 @@
 The accumulator keeps just enough running sums to read out the arithmetic,
 harmonic and geometric means, the relative mean ratio, and a conventional
 moment-based squared coefficient of variation.  Values arrive in blocks (a
-1-D array per call to extend); sum_x and sum_inv_x are exact running sums,
-each one Python int (ExactSum, below) read out correctly rounded, so the
-readings do not depend on how a sample is split into blocks or merged.  Reciprocals of a widely
-spread sample span many orders of magnitude, and naive accumulation visibly
-biases the harmonic mean once samples reach the millions.  sum_x2 stays a
-plain left-to-right running sum.
+1-D array per call to extend); sum_x, sum_inv_x and sum_x2 are exact running
+sums, each one Python int (ExactSum, below) read out correctly rounded, so the
+readings do not depend on how a sample is split into blocks or merged, and no
+square over- or underflows.  Reciprocals of a widely spread sample span many
+orders of magnitude, and naive accumulation visibly biases the harmonic mean
+once samples reach the millions.
 
 ExactSum is the one summation scheme of the package: the simulator reduces
 its per-run estimates with it too.
@@ -56,16 +56,16 @@ __all__ = [
 # Below this the efficiency ratio is 1 to within one ulp.
 _EFFICIENCY_UNIT_THRESHOLD = 1e-12
 
-# ExactSum writes a finite float as M * 2**(i - _SCALE_BITS): M is np.frexp's
-# mantissa scaled to an integer, |M| < 2**53, and the bin index i is frexp's
-# exponent plus _EXP_OFFSET, in [1, 2098].  M splits into a low limb in
-# [0, 2**26) at bin i and a signed high limb in [-2**27, 2**27) at bin i + 26.
-# A float64 bincount of _BLOCK values is then exact (2**15 * 2**27 < 2**53), as
-# is adding a block's high-limb bins onto its low-limb bins (both below 2**42).
-_EXP_OFFSET = 1074
+# ExactSum writes a finite float times 2**shift as M * 2**(i - _SCALE_BITS): M
+# is np.frexp's mantissa scaled to an integer, |M| < 2**53, and i is frexp's
+# exponent plus shift plus _EXP_OFFSET, in [1, 4300] for the parts of a square.
+# M splits into a low limb in [0, 2**26) at bin i and a signed high limb in
+# [-2**27, 2**27) at bin i + 26.  A float64 bincount of _BLOCK values is then
+# exact (2**15 * 2**27 < 2**53), as is adding a block's high-limb bins onto its
+# low-limb bins (both below 2**42).
+_EXP_OFFSET = 2252
 _LIMB_BITS = 26
-_EXP_BINS = 2099
-_SCALE_BITS = 1127
+_SCALE_BITS = 2305
 _SCALE = 1 << _SCALE_BITS
 _BLOCK = 1 << 15
 
@@ -90,26 +90,29 @@ class ExactSum:
         self._scaled = scaled
 
     @classmethod
-    def of(cls, values: np.ndarray) -> "ExactSum":
-        """The sum of a 1-D float64 array; DomainError if a value is not finite."""
+    def of(cls, values: np.ndarray, shift: np.ndarray | None = None) -> "ExactSum":
+        """Sum of values[i] * 2**shift[i], shift optional; DomainError if a value is not finite."""
         scaled = 0
         for start in range(0, values.size, _BLOCK):
-            block = values[start : start + _BLOCK]
-            mantissa, exponent = np.frexp(block)
-            exponent += _EXP_OFFSET
+            mantissa, exponent = np.frexp(values[start : start + _BLOCK])
+            if shift is not None:
+                exponent += shift[start : start + _BLOCK]
+            base = int(exponent.min())
+            exponent -= base
+            top = int(exponent.max()) + 1
             mantissa *= 2.0 ** (53 - _LIMB_BITS)
             high = np.floor(mantissa)
             with np.errstate(invalid="ignore"):
                 mantissa -= high  # exact: the fractional part of a float
             mantissa *= 2.0**_LIMB_BITS
-            bins = np.bincount(exponent, weights=mantissa, minlength=_EXP_BINS + _LIMB_BITS)
+            bins = np.bincount(exponent, weights=mantissa, minlength=top + _LIMB_BITS)
             # an inf or a nan leaves a nan low limb
             if not np.isfinite(bins).all():
                 raise DomainError("cannot sum a value that is not finite")
-            bins[_LIMB_BITS:] += np.bincount(exponent, weights=high, minlength=_EXP_BINS)
+            bins[_LIMB_BITS:] += np.bincount(exponent, weights=high, minlength=top)
             nonzero = np.flatnonzero(bins)
             limbs = bins[nonzero].astype(np.int64).tolist()
-            scaled += sum(b << i for i, b in zip(nonzero.tolist(), limbs))
+            scaled += sum(b << i for i, b in zip(nonzero.tolist(), limbs)) << (base + _EXP_OFFSET)
         return cls(scaled)
 
     def __add__(self, other: "ExactSum") -> "ExactSum":
@@ -169,9 +172,9 @@ class SampleAccumulator:
     """Mergeable running sums of a positive-valued sample.
 
     Accumulators are plain values: fill independent ones on separate
-    workers and combine them with merge (component-wise sums).  sum_x and
-    sum_inv_x are ExactSums, so any split into blocks and any merge tree
-    give the same readings; sum_x2 is a float summed in arrival order.
+    workers and combine them with merge (component-wise sums).  sum_x,
+    sum_inv_x and sum_x2 are ExactSums, so any split into blocks and any
+    merge tree give the same readings.
     """
 
     __slots__ = ("n", "_sx", "_sinv", "_sx2")
@@ -180,7 +183,7 @@ class SampleAccumulator:
         self.n = 0
         self._sx = ExactSum()
         self._sinv = ExactSum()
-        self._sx2 = 0.0
+        self._sx2 = ExactSum()
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "SampleAccumulator":
@@ -206,7 +209,10 @@ class SampleAccumulator:
 
     @property
     def sum_x2(self) -> float:
-        return self._sx2
+        try:
+            return self._sx2.value()
+        except OverflowError:
+            return math.inf
 
     def add(self, x: float) -> None:
         """Fold one observation in; rejects anything off the positive reals,
@@ -216,9 +222,10 @@ class SampleAccumulator:
     def extend(self, xs: np.ndarray | Sequence[float]) -> None:
         """Fold a 1-D block of observations in.
 
-        The whole block is validated, and both new sums formed, before any
-        sum changes, so a rejected block leaves the accumulator as it was.
+        The whole block is validated, and all three new sums formed, before
+        any sum changes, so a rejected block leaves the accumulator as it was.
         A sum_x or sum_inv_x beyond the float range raises OverflowError.
+        Each x*x enters exactly as (hi + lo) * 2**(2e), x = m * 2**e, m in [0.5, 1).
         """
         xs = np.asarray(xs, dtype=np.float64).ravel()
         if xs.size == 0:
@@ -226,18 +233,19 @@ class SampleAccumulator:
         check_support(xs)
         sx = (self._sx + ExactSum.of(xs)).checked("sum_x")
         sinv = (self._sinv + ExactSum.of(1.0 / xs)).checked("sum_inv_x")
-        # left to right from the running value, exactly as one add per value;
-        # a sum of squares that overflows is reported by cv2_conventional
-        with np.errstate(over="ignore"):
-            sq = xs * xs
-            sq[0] += self._sx2
-            self._sx2 = float(np.cumsum(sq, out=sq)[-1])
-        self._sx, self._sinv = sx, sinv
+        m, e = np.frexp(xs)
+        mh = m * 134217729.0  # Veltkamp's split at 2**27 + 1 for Dekker's m*m = hi + lo
+        mh -= mh - m
+        ml = m - mh
+        hi = m * m
+        lo = ((mh * mh - hi) + 2.0 * mh * ml) + ml * ml
+        sx2 = self._sx2 + ExactSum.of(np.concatenate([hi, lo]), np.tile(2 * e, 2))
+        self._sx, self._sinv, self._sx2 = sx, sinv, sx2
         self.n += xs.size
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Component-wise combination; commutative, with the empty accumulator as
-        identity, and exactly associative in sum_x and sum_inv_x."""
+        identity, and exactly associative."""
         out = SampleAccumulator()
         out.n = self.n + other.n
         out._sx = (self._sx + other._sx).checked("sum_x")
@@ -290,12 +298,10 @@ class SampleAccumulator:
         return math.sqrt(a) * math.sqrt(h)
 
     def cv2_conventional(self) -> float:
-        """Moment-based comparison estimate: unbiased sample variance over squared mean."""
+        """Unbiased sample variance over squared mean: one exact ratio of the sums, in [0, n]."""
         self._require(2)
-        a = self.arithmetic_mean()
-        var = _finite((self._sx2 - self.n * a * a) / (self.n - 1), "cv2_conventional")
-        # near-constant samples can leave a tiny negative fp residue
-        return max(0.0, var) / (a * a)
+        n, s1, s2 = self.n, self._sx._scaled, self._sx2._scaled
+        return n * ((n * s2 << _SCALE_BITS) - s1 * s1) / ((n - 1) * s1 * s1)
 
     def report(self) -> EstimateReport:
         self._require(2)

@@ -79,18 +79,15 @@ class TestAccumulate:
         assert len(sums) == 1
 
     def test_blocks_match_per_value_reference(self):
-        # sum_x2 keeps the per-value arithmetic, so it matches a plain loop
-        # exactly; sum_x and sum_inv_x are exact, so they match math.fsum
-        # however the blocks fall
+        # all three sums are exact, so however the blocks fall sum_x and
+        # sum_inv_x match math.fsum, and sum_x2 the correctly rounded sum of
+        # the exact squares
         values = np.exp(np.random.default_rng(6).normal(0.0, 2.0, size=5000))
         acc = SampleAccumulator()
         for block in np.array_split(values, [1, 1, 2, 700, 701, 3000]):
             acc.extend(block)
-        sum_x2 = 0.0
-        for x in values.tolist():
-            sum_x2 += x * x
         assert acc.n == values.size
-        assert acc.sum_x2 == sum_x2
+        assert acc.sum_x2 == float(sum(Fraction(x) ** 2 for x in values.tolist()))
         assert acc.sum_x == math.fsum(values)
         assert acc.sum_inv_x == math.fsum(1.0 / values)
 
@@ -103,7 +100,7 @@ class TestAccumulate:
         assert acc.sum_inv_x == math.fsum(1.0 / values)
 
     def test_any_split_into_blocks_gives_the_same_repr(self):
-        # sum_x2 is summed in arrival order, which extend keeps for any split
+        # all three sums are exact, so no split changes a reading
         rng = np.random.default_rng(12)
         values = np.exp(rng.normal(0.0, 3.0, size=3000))
         whole = repr(SampleAccumulator.from_values(values))
@@ -152,6 +149,17 @@ class TestMerge:
         values = [1.0, 2.0**-53, 2.0**-110, 2.0**-51]
         whole = repr(SampleAccumulator.from_values(values))
         assert SampleAccumulator.from_values(values).sum_x == 1.0 + 3 * 2.0**-52
+        singles = [SampleAccumulator.from_values([v]) for v in values]
+        for order in itertools.permutations(singles):
+            for merged in self.trees(list(order)):
+                assert repr(merged) == whole
+
+    def test_any_merge_tree_gives_the_same_sum_of_squares(self):
+        # 1 + 4 * 2^-54: a float sum that adds the 2^-54 squares to 1 one at a
+        # time rounds each away, one that adds them to each other first does not
+        values = [1.0] + [2.0**-27] * 4
+        whole = repr(SampleAccumulator.from_values(values))
+        assert SampleAccumulator.from_values(values).sum_x2 == 1.0 + 2.0**-52
         singles = [SampleAccumulator.from_values([v]) for v in values]
         for order in itertools.permutations(singles):
             for merged in self.trees(list(order)):
@@ -230,6 +238,19 @@ class TestExactSum:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not finite"):
                 ExactSum.of(values)
+
+    def test_shift_scales_each_value_by_a_power_of_two(self):
+        rng = np.random.default_rng(15)
+        for size in (1, 7, estimator._BLOCK + 3):
+            shift = rng.integers(-1100, 1000, size=size).astype(np.int32)
+            # each value times 2**shift stays below 2**1003
+            top = 1000 - np.maximum(shift, 0)
+            values = rng.normal(size=size) * np.exp2(rng.integers(-1000, top))
+            want = sum(Fraction(v) * Fraction(2) ** int(k) for v, k in zip(values, shift))
+            got = ExactSum.of(values, shift)
+            assert got.value() == float(want)
+            # the exact sum, not only its rounding
+            assert (got + ExactSum.of(-values, shift)).value() == 0.0
 
     def test_split_and_order_of_addition_do_not_matter(self):
         rng = np.random.default_rng(14)
@@ -354,6 +375,26 @@ class TestCv2Conventional:
         with pytest.raises(SampleTooSmallError):
             SampleAccumulator.from_values([1.0]).cv2_conventional()
 
+    @staticmethod
+    def exact(values):
+        n, s1 = len(values), sum(Fraction(x) for x in values)
+        s2 = sum(Fraction(x) ** 2 for x in values)
+        return float(n * (n * s2 - s1 * s1) / ((n - 1) * s1 * s1))
+
+    def test_nearly_constant_pair_is_correctly_rounded(self):
+        # a float sum_x2 - n*a*a leaves 4.44e-16 here, 1.8e16 times the true value
+        values = [1.0, 1.0 + 2.0**-52]
+        got = SampleAccumulator.from_values(values).cv2_conventional()
+        assert got == self.exact(values) == 2.4651903288156613e-32
+
+    def test_correctly_rounded_on_seeded_samples(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            sigma = rng.uniform(0.01, 3.0)
+            values = np.exp(rng.normal(0.0, sigma, size=rng.integers(2, 61))).tolist()
+            got = SampleAccumulator.from_values(values).cv2_conventional()
+            assert got == self.exact(values), (sigma, len(values))
+
 
 class TestReport:
     def test_fields(self):
@@ -397,15 +438,27 @@ class TestFloatRange:
             acc = SampleAccumulator.from_values([scale, 2.0 * scale, 4.0 * scale])
             assert rel_diff(acc.g_hat(), 2.0 * scale) <= 1e-15
 
-    def test_overflowing_sum_of_squares_raises_without_warning(self):
+    def test_overflowing_sum_of_squares_reads_inf(self):
+        # the exact sum of squares is beyond the float range, but
+        # cv2_conventional never reads it as a float
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             acc = SampleAccumulator.from_values([1e155, 2e155, 4e155])
             assert acc.k_hat() == pytest.approx(13.0 / 24.0, rel=1e-14)
-            with pytest.raises(OverflowError, match="cv2_conventional"):
-                acc.cv2_conventional()
-            with pytest.raises(OverflowError, match="cv2_conventional"):
-                acc.report()
+            assert acc.sum_x2 == math.inf
+            assert "sum_x2=inf" in repr(acc)
+            assert acc.cv2_conventional() == 3.0 / 7.0
+            assert acc.report().cv2_conventional == 3.0 / 7.0
+
+    @pytest.mark.parametrize("power", [500, -500])
+    def test_scaling_by_a_power_of_two_is_bit_identical(self, power):
+        # squares of the scaled values leave the float range at 2^500 and
+        # reach the subnormals at 2^-500
+        values = np.exp(np.random.default_rng(23).normal(0.0, 3.0, size=1000))
+        base = SampleAccumulator.from_values(values)
+        scaled = SampleAccumulator.from_values(values * 2.0**power)
+        for read in ("relative_ratio", "k_hat", "cv2_conventional"):
+            assert getattr(scaled, read)() == getattr(base, read)(), read
 
     def test_overflowing_ratio_raises(self):
         acc = SampleAccumulator.from_values([1e-300, 1e300])
