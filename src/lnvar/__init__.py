@@ -48,7 +48,6 @@ from .montecarlo import (
     run_grid,
 )
 from .oracle import (
-    TermClass,
     TermKind,
     brute_force_class_counts,
     covariance_term,
@@ -56,7 +55,6 @@ from .oracle import (
     exact_var_kn,
     run_verification,
     term_multiplicity,
-    term_table,
 )
 
 __all__ = [
@@ -84,10 +82,8 @@ __all__ = [
     "large_sample_efficiency",
     "measurement_cost",
     "TermKind",
-    "TermClass",
     "covariance_term",
     "term_multiplicity",
-    "term_table",
     "exact_mean_kn",
     "exact_var_kn",
     "brute_force_class_counts",

@@ -53,9 +53,6 @@ __all__ = [
     "measurement_cost",
 ]
 
-# Below this the efficiency ratio is 1 to within one ulp.
-_EFFICIENCY_UNIT_THRESHOLD = 1e-12
-
 # ExactSum writes a finite float times 2**shift as M * 2**(i - _SCALE_BITS): M
 # is np.frexp's mantissa scaled to an integer, |M| < 2**53, and i is frexp's
 # exponent plus shift plus _EXP_OFFSET, in [1, 4300] for the parts of a square.
@@ -328,10 +325,11 @@ def expected_k_n(n: int, k: float) -> float:
 
 
 def var_k_n(n: int, k: float) -> float:
-    """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n))."""
+    """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
+    Exact on Fractions inside the float range."""
     check_int(n, "n", 2)
     check_at_least(k, "k")
-    return 2.0 * (n - 1) / (n * n) * k * k * (1.0 + k + k * k / (2.0 * n))
+    return 2 * (n - 1) / (n * n) * k * k * (1 + k + k * k / (2 * n))
 
 
 def sd_k_n(n: int, k: float) -> float:
@@ -353,12 +351,10 @@ def large_sample_efficiency(sigma2_y: float) -> float:
     """Asymptotic efficiency of the corrected ratio estimator vs. the series-based
     minimum-variance benchmark: sigma2^2 / (exp(sigma2) - 1)^2.
 
-    Strictly decreasing in sigma2_y with limit 1 at 0+; inputs below 1e-12
-    return 1.0 exactly.
+    Strictly decreasing in sigma2_y with limit 1 at 0+; near 0 it is about
+    1 - sigma2_y.
     """
     check_positive(sigma2_y, "sigma2_y")
-    if sigma2_y < _EFFICIENCY_UNIT_THRESHOLD:
-        return 1.0
     try:
         em = math.expm1(sigma2_y)
     except OverflowError:

@@ -37,7 +37,6 @@ from .errors import (
     check_positive,
 )
 from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
-from .model import params_from_gk
 
 __all__ = [
     "SimulationCell",
@@ -209,8 +208,7 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
             stacklevel=2,
         )
 
-    params = params_from_gk(math.exp(mu_y), cv * cv)
-    sigma = math.sqrt(params.sigma2_y)
+    sigma = math.sqrt(math.log1p(cv * cv))
     correction = n / (n - 1.0)
     rng = np.random.default_rng(seed)
 

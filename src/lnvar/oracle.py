@@ -21,25 +21,30 @@ closed-form variance in the estimator module through entirely different
 arithmetic, which is what makes this module a useful cross-check.  The counts
 themselves can additionally be validated against brute-force enumeration of
 index tuples.
+
+run_verification compares both sides as exact rationals, at the exact value of
+each float omega.  Both sides times n^4 are polynomials of degree <= 4 in n and
+in omega, so agreement on 5 distinct n by 5 distinct omega proves the law for
+every n >= 2 and omega >= 1 (Schwartz, J. ACM 27, 1980), as the default run does.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import DomainError, check_at_least, check_int
 from .estimator import expected_k_n, var_k_n
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "TermKind",
-    "TermClass",
     "covariance_term",
     "term_multiplicity",
-    "term_table",
     "exact_mean_kn",
     "exact_var_kn",
     "brute_force_class_counts",
@@ -52,8 +57,6 @@ DEFAULT_OMEGAS = (1.0, 1.1, 2.0, 5.0, 10.0)
 DEFAULT_MAX_N = 12
 # beyond this the O(n^4) enumeration stops being instant
 DEFAULT_BRUTE_FORCE_LIMIT = 8
-# relative tolerance of the mean and variance agreement checks
-_REL_TOL = 1e-12
 
 
 class TermKind(enum.Enum):
@@ -66,28 +69,27 @@ class TermKind(enum.Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class TermClass:
-    """One covariance class at a concrete (n, omega)."""
+def _exact(x: float) -> Fraction:
+    """The exact rational value of x; importing fractions here spares `import lnvar`."""
+    from fractions import Fraction
 
-    kind: TermKind
-    multiplicity: int
-    covariance_value: float
+    return Fraction(x)
 
 
 def covariance_term(kind: TermKind, omega: float) -> float:
-    """Covariance of one ratio-pair class as a polynomial in omega."""
+    """Covariance of one ratio-pair class as a polynomial in omega; exact when
+    omega is a Fraction."""
     check_at_least(omega, "omega", 1.0)
     w2 = omega * omega
     if kind is TermKind.SELF_PAIR:
         return w2 * w2 - w2
     if kind is TermKind.RECIPROCAL_PAIR:
-        return 1.0 - w2
+        return 1 - w2
     if kind in (TermKind.SHARED_DENOMINATOR, TermKind.SHARED_NUMERATOR):
         return w2 * omega - w2
     if kind in (TermKind.NUM_IS_OTHER_DEN, TermKind.DEN_IS_OTHER_NUM):
         return omega - w2
-    return 0.0  # DISJOINT
+    return 0  # DISJOINT
 
 
 def term_multiplicity(kind: TermKind, n: int) -> int:
@@ -101,42 +103,28 @@ def term_multiplicity(kind: TermKind, n: int) -> int:
     if kind in (TermKind.SELF_PAIR, TermKind.RECIPROCAL_PAIR):
         return pairs
     if kind is TermKind.DISJOINT:
-        return pairs * (n - 2) * (n - 3) if n >= 4 else 0
+        return pairs * (n - 2) * (n - 3)
     return pairs * (n - 2)
 
 
-def term_table(n: int, omega: float) -> list[TermClass]:
-    return [
-        TermClass(kind, term_multiplicity(kind, n), covariance_term(kind, omega))
-        for kind in TermKind
-    ]
-
-
-def exact_mean_kn(n: int, omega: float) -> float:
-    """Mean of the uncorrected relative ratio assembled from pair counts.
+def exact_mean_kn(n: int, omega: float) -> Fraction:
+    """Mean of the uncorrected relative ratio assembled from pair counts, as an
+    exact rational at the exact value of omega.
 
     The double sum contributes n unit terms plus n(n-1) ratio terms each
     with expectation omega: (1/n^2)(n + n(n-1) omega) - 1.
     """
     check_int(n, "n", 2)
     check_at_least(omega, "omega", 1.0)
-    return (n + n * (n - 1) * omega) / (n * n) - 1.0
+    return (n + n * (n - 1) * _exact(omega)) / (n * n) - 1
 
 
-def exact_var_kn(n: int, omega: float) -> float:
-    """Variance of the uncorrected relative ratio by full class enumeration.
-
-    DomainError when a term or the sum of the terms leaves the float range.
-    """
-    try:
-        total = math.fsum(t.multiplicity * t.covariance_value for t in term_table(n, omega))
-    except (OverflowError, ValueError):  # fsum past the float range, or of inf and -inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise DomainError(
-            f"omega={omega!r} takes the enumerated variance at n={n} beyond the float range"
-        )
-    return total / float(n) ** 4
+def exact_var_kn(n: int, omega: float) -> Fraction:
+    """Variance of the uncorrected relative ratio by full class enumeration, as
+    an exact rational at the exact value of omega."""
+    check_at_least(omega, "omega", 1.0)
+    w = _exact(omega)
+    return sum(term_multiplicity(kind, n) * covariance_term(kind, w) for kind in TermKind) / n**4
 
 
 def _classify(i: int, j: int, p: int, q: int) -> TermKind:
@@ -170,10 +158,6 @@ def brute_force_class_counts(n: int) -> dict[TermKind, int]:
     return counts
 
 
-def _rel_close(a: float, b: float) -> bool:
-    return a == b or abs(a - b) <= _REL_TOL * max(abs(a), abs(b))
-
-
 @dataclass
 class CheckGroup:
     label: str
@@ -205,11 +189,8 @@ def run_verification(
     max_n: int = DEFAULT_MAX_N,
     omegas: Iterable[float] = DEFAULT_OMEGAS,
 ) -> VerificationReport:
-    """Cross-check the enumeration oracle against the closed-form predictions.
-
-    An omega that takes an enumerated or closed-form value beyond the float
-    range raises DomainError; it is not reported as a mismatch.
-    """
+    """Cross-check the enumeration oracle against the closed-form predictions,
+    both evaluated exactly at n and at the exact value of each omega."""
     check_int(max_n, "max_n", 2)
     omegas = list(omegas)
     if not omegas:
@@ -247,16 +228,10 @@ def run_verification(
             for omega in omegas:
                 group.checks += 1
                 got = enumerated_fn(n, omega)
-                want = closed_form(n, omega - 1.0)
-                if not (math.isfinite(got) and math.isfinite(want)):
-                    raise DomainError(
-                        f"omega={omega!r} takes the {noun} at n={n} beyond the float range: "
-                        f"enumeration {got!r}, closed form {want!r}"
-                    )
-                if not _rel_close(got, want):
+                want = closed_form(_exact(n), _exact(omega) - 1)
+                if got != want:
                     group.failures.append(
-                        f"n={n} omega={omega:g}: enumeration {noun} {got!r} "
-                        f"vs closed form {want!r}"
+                        f"n={n} omega={omega:g}: enumeration {noun} {got} vs closed form {want}"
                     )
         groups.append(group)
     return VerificationReport(groups=groups)

@@ -8,6 +8,7 @@ published master seed (the package default, 1729).
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -36,9 +37,14 @@ def test_c1_oracle_equivalence():
     start = time.perf_counter()
     for n in range(2, 13):
         for omega in ACCEPTANCE_OMEGAS:
+            var, mean = exact_var_kn(n, omega), exact_mean_kn(n, omega)
+            # the law itself, exactly; then the float closed forms' accuracy
+            k = Fraction(omega) - 1
+            assert var == var_k_n(Fraction(n), k), (n, omega)
+            assert mean == expected_k_n(Fraction(n), k), (n, omega)
             k = omega - 1.0
-            assert rel_diff(exact_var_kn(n, omega), var_k_n(n, k)) <= 1e-12, (n, omega)
-            assert rel_diff(exact_mean_kn(n, omega), expected_k_n(n, k)) <= 1e-12, (n, omega)
+            assert rel_diff(var, var_k_n(n, k)) <= 1e-12, (n, omega)
+            assert rel_diff(mean, expected_k_n(n, k)) <= 1e-12, (n, omega)
     for n in range(2, 51):
         total = sum(term_multiplicity(kind, n) for kind in TermKind)
         assert total == (n * (n - 1)) ** 2, n

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import warnings
@@ -500,6 +501,16 @@ class TestPredictions:
         assert var_k_n(9, 0.0) == 0.0
         assert sd_k_n(2, 1.0) == math.sqrt(1.125)
 
+    def test_var_k_n_keeps_float_bytes(self):
+        # the int literals that make var_k_n exact on Fractions round as the
+        # float literals did, for n below 2**26
+        rng = np.random.default_rng(2015)
+        ns = np.exp(rng.uniform(math.log(2), 26 * math.log(2), 10_000)).astype(np.int64)
+        ks = np.exp(rng.uniform(-300.0, 170.0, 10_000))
+        for n, k in zip(ns.tolist(), ks.tolist()):
+            want = 2.0 * (n - 1) / (n * n) * k * k * (1.0 + k + k * k / (2.0 * n))
+            assert var_k_n(n, k) == want, (n, k)
+
     @pytest.mark.parametrize("k", [0.1, 1.0, 5.0])
     def test_var_k_2_closed_form(self, k):
         assert rel_diff(var_k_n(2, k), k * k * (k + 2.0) ** 2 / 8.0) <= 1e-12
@@ -526,7 +537,12 @@ class TestPredictions:
 
 class TestEfficiency:
     def test_limit_at_zero(self):
-        assert large_sample_efficiency(1e-13) == 1.0
+        # about 1 - sigma2 near 0, within 4 ulp of a 60-digit reference
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for sigma2 in (1e-13, 1e-15, 1e-17):
+                s = decimal.Decimal(sigma2)
+                want = float((s / (s.exp() - 1)) ** 2)
+                assert abs(large_sample_efficiency(sigma2) - want) <= 4 * math.ulp(want), sigma2
 
     def test_at_one(self):
         expected = 1.0 / (math.e - 1.0) ** 2

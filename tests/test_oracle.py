@@ -1,5 +1,5 @@
 import math
-import re
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +15,6 @@ from lnvar.oracle import (
     exact_var_kn,
     run_verification,
     term_multiplicity,
-    term_table,
 )
 
 from _properties import rel_diff
@@ -96,16 +95,23 @@ class TestExactMoments:
         assert rel_diff(exact_var_kn(n, omega), var_k_n(n, k)) <= 1e-12
         assert rel_diff(exact_mean_kn(n, omega), expected_k_n(n, k)) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("omega", OMEGAS + (1e300,))
+    def test_exact_rationals_equal_closed_forms(self, n, omega):
+        k = Fraction(omega) - 1
+        var, mean = exact_var_kn(n, omega), exact_mean_kn(n, omega)
+        assert type(var) is Fraction and type(mean) is Fraction
+        assert var == var_k_n(Fraction(n), k)
+        assert mean == expected_k_n(Fraction(n), k)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             exact_var_kn(1, 2.0)
         with pytest.raises(DomainError):
             exact_mean_kn(3, 0.5)
-
-    def test_term_table_is_complete(self):
-        table = term_table(5, 2.0)
-        assert [t.kind for t in table] == list(TermKind)
-        assert sum(t.multiplicity for t in table) == (5 * 4) ** 2
+        for omega in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                exact_var_kn(3, omega)
 
 
 class TestMonteCarloAgreement:
@@ -165,19 +171,23 @@ class TestVerification:
         with pytest.raises(DomainError, match="omegas"):
             run_verification(omegas=[])
 
+    def test_one_class_off_by_2_pow_minus_50_fails(self, monkeypatch):
+        # a covariance class scaled by 1 + 2^-50 is within any float tolerance
+        # of the closed form, but not equal to it
+        term = covariance_term
+
+        def faulty(kind, w):
+            scale = 1 + Fraction(1, 2**50) if kind is TermKind.SHARED_NUMERATOR else 1
+            return term(kind, w) * scale
+
+        monkeypatch.setattr(oracle, "covariance_term", faulty)
+        report = run_verification(max_n=3, omegas=[1.1])
+        assert [g.label for g in report.groups if not g.passed] == ["variance agreement"]
+        assert report.first_failure.startswith("n=3 omega=1.1: enumeration variance ")
+
     @pytest.mark.parametrize(
-        "max_n, omega, quantity",
-        [
-            (12, 1e300, "enumerated variance"),
-            (3, 1e200, "enumerated variance"),
-            (2, 1e154, "enumerated variance"),
-            (2, 1e77, "enumerated variance"),
-            (2, 1.7e308, "mean"),
-        ],
+        "max_n, omega", [(12, 1e300), (3, 1e200), (2, 1e154), (2, 1e77), (2, 1.7e308)]
     )
-    def test_omega_beyond_float_range_is_a_domain_error(self, max_n, omega, quantity):
-        # an infinite enumeration used to pass as "close" to a finite or an
-        # infinite closed form, and at 1e154 math.fsum raised ValueError on
-        # inf - inf
-        with pytest.raises(DomainError, match=re.escape(f"omega={omega!r} takes the {quantity}")):
-            run_verification(max_n=max_n, omegas=[2.0, omega])
+    def test_omega_beyond_float_range_passes(self, max_n, omega):
+        # exact rationals do not overflow, so these omegas get checked, not refused
+        assert run_verification(max_n=max_n, omegas=[2.0, omega]).passed
