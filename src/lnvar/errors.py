@@ -53,9 +53,9 @@ def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -
 
 
 def check_positive(value: float, name: str, maximum: float = math.inf) -> None:
-    """DomainError unless value is a positive finite float, and at most maximum
-    when one is given."""
-    if not (math.isfinite(value) and value > 0.0):
+    """DomainError unless 0 < value < inf, and value <= maximum when one is given;
+    ints and Fractions of any size compare exactly."""
+    if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
     _check_at_most(value, name, maximum)
 
@@ -63,9 +63,9 @@ def check_positive(value: float, name: str, maximum: float = math.inf) -> None:
 def check_at_least(
     value: float, name: str, minimum: float = 0.0, maximum: float = math.inf
 ) -> None:
-    """DomainError unless value is a finite float >= minimum (by default,
-    non-negative), and at most maximum when one is given."""
-    if not (math.isfinite(value) and value >= minimum):
+    """DomainError unless minimum <= value < inf (by default, non-negative), and
+    value <= maximum when one is given; compares like check_positive."""
+    if not minimum <= value < math.inf:
         raise DomainError(f"{name} must be >= {minimum:g} and finite, got {value}")
     _check_at_most(value, name, maximum)
 

@@ -135,6 +135,13 @@ def _finite(value: float, quantity: str) -> float:
     return value
 
 
+def _scatter(count: int, sum_x: ExactSum, sum_x2: ExactSum, centre: float = 0.0) -> int:
+    """count * sum_x2 - (sum_x - count * centre)**2 times 2**(2 * _SCALE_BITS), exactly."""
+    p, q = centre.as_integer_ratio()  # q is a power of two, at most 2**1074
+    d = sum_x._scaled - count * ((p << _SCALE_BITS) // q)
+    return (count * sum_x2._scaled << _SCALE_BITS) - d * d
+
+
 def kn_from_sums(
     sum_x: np.ndarray | float, sum_inv_x: np.ndarray | float, n: int
 ) -> np.ndarray | float:
@@ -297,8 +304,8 @@ class SampleAccumulator:
     def cv2_conventional(self) -> float:
         """Unbiased sample variance over squared mean: one exact ratio of the sums, in [0, n]."""
         self._require(2)
-        n, s1, s2 = self.n, self._sx._scaled, self._sx2._scaled
-        return n * ((n * s2 << _SCALE_BITS) - s1 * s1) / ((n - 1) * s1 * s1)
+        s1 = self._sx._scaled
+        return self.n * _scatter(self.n, self._sx, self._sx2) / ((self.n - 1) * s1 * s1)
 
     def report(self) -> EstimateReport:
         self._require(2)
@@ -326,7 +333,7 @@ def expected_k_n(n: int, k: float) -> float:
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
-    Exact on Fractions inside the float range."""
+    Exact on Fractions."""
     check_int(n, "n", 2)
     check_at_least(k, "k")
     return 2 * (n - 1) / (n * n) * k * k * (1 + k + k * k / (2 * n))

@@ -9,11 +9,11 @@ predictions.
 Reproducibility contract: per-cell seeds derive from (master_seed, row-major
 cell index) through numpy's SeedSequence mixing, so any cell can be re-run in
 isolation; draws come from an independent PCG64 stream per cell; per-run
-estimates are reduced with the estimator's exact summation (ExactSum), in two
-passes over the whole cell: the sum, then the sum of squared residuals.  A
-grid runs its cells concurrently, one thread per available CPU (numpy releases
-the GIL in the sampling kernel); since no stream is shared between cells, the
-results do not depend on the thread count.
+estimates fold block by block, in one pass, into two exact sums (ExactSum):
+of k_hat, and of its squares about a centre near the mean.  A grid runs its
+cells concurrently, one thread per available CPU (numpy releases the GIL in
+the sampling kernel); since no stream is shared between cells, the results do
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .errors import (
     check_int,
     check_positive,
 )
-from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
+from .estimator import _SCALE_BITS, ExactSum, _scatter, kn_from_sums
+from .estimator import large_sample_efficiency, sd_k_hat
 
 __all__ = [
     "SimulationCell",
@@ -57,14 +58,13 @@ RUNS_NUMERATOR = 10**7
 DEFAULT_MASTER_SEED = 1729
 DEFAULT_MAX_DRAWS = 10**9
 BUDGET_ENV_VAR = "LNVAR_MAX_DRAWS"
-# draws per sampling step, as _CHUNK_ELEMS // n runs of n draws.  The bytes do
-# not depend on it, since a normal stream is the same for any split; it sets
-# the working set of a step, of which one is alive per thread.  Peak RSS of
-# `lnvar simulate` on the default grid with two threads (x86-64, Python 3.11,
-# numpy 2.4): 131 MB at 1 << 20, 70 MB at 1 << 18, 60 MB at 1 << 17, 56 MB at
-# 1 << 16, 54 MB at 1 << 15 and 53 MB at 1 << 14 and 1 << 12, in about 1.1 s
-# each, except 1.35 s at 1 << 12.
+# draws per sampling step (_CHUNK_ELEMS // n runs of n draws) and runs per reduction
+# block, at least the 1024 runs that set the centre; streams and exact sums split
+# freely, so neither changes the bytes.  Peak RSS of default `lnvar simulate` on two
+# threads (x86-64, Python 3.11, numpy 2.4) at chunk/block 1 << 15/17: 40.5 MB; 12/17:
+# 39.9 MB, +23% wall; 16/17: 43.3 MB; 15/15: 39.0 MB, +9% wall; 15/20: 53.2 MB.
 _CHUNK_ELEMS = 1 << 15
+_BLOCK_RUNS = 1 << 17
 
 DEFAULT_N_VALUES = (2, 10, 100)
 DEFAULT_CV_VALUES = (0.1, 0.5, 1.0)
@@ -209,36 +209,48 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
         )
 
     sigma = math.sqrt(math.log1p(cv * cv))
-    correction = n / (n - 1.0)
     rng = np.random.default_rng(seed)
 
-    estimates = np.empty(runs, dtype=np.float64)
+    block = np.empty(min(runs, _BLOCK_RUNS), dtype=np.float64)
     rows_per_draw = max(1, _CHUNK_ELEMS // n)
+    sum_k = sum_sq = ExactSum()
 
     # a draw or a sum beyond the float range ends as an inf or a nan estimate,
     # which ExactSum refuses; numpy is not to warn on the way
     with np.errstate(all="ignore"):
-        for row in range(0, runs, rows_per_draw):
-            x = np.exp(rng.normal(mu_y, sigma, size=(min(rows_per_draw, runs - row), n)))
-            kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
-            np.multiply(kn, correction, out=estimates[row : row + kn.size])
-        try:
-            mean = ExactSum.of(estimates).value("mean_khat") / runs
-            estimates -= mean
-            sq_resid = ExactSum.of(np.square(estimates, out=estimates))
-        except DomainError:
-            raise DomainError(
-                f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
-                "leave the float range"
-            ) from None
-    sd = math.sqrt(sq_resid.value("sd_khat") / (runs - 1))
+        for start in range(0, runs, _BLOCK_RUNS):
+            k_hat = block[: min(_BLOCK_RUNS, runs - start)]
+            for row in range(0, k_hat.size, rows_per_draw):
+                x = np.exp(rng.normal(mu_y, sigma, size=(min(rows_per_draw, k_hat.size - row), n)))
+                kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
+                np.multiply(kn, n / (n - 1.0), out=k_hat[row : row + kn.size])
+            try:
+                sum_k += ExactSum.of(k_hat)
+                if start == 0:
+                    # squares about the first 1024 runs' mean cut to 27 bits, so that
+                    # k_hat - centre is exact near it: only the squares round
+                    head = k_hat[:1024]
+                    m, e = math.frexp(ExactSum.of(head).value("mean_khat") / head.size)
+                    centre = math.ldexp(round(m * 2**27), e - 27)
+                k_hat -= centre
+                sum_sq += ExactSum.of(np.square(k_hat, out=k_hat))
+            except DomainError:
+                raise DomainError(
+                    f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
+                    "leave the float range"
+                ) from None
+    try:
+        var = _scatter(runs, sum_k, sum_sq, centre) / (runs * (runs - 1) << 2 * _SCALE_BITS)
+    except OverflowError:
+        raise OverflowError("sd_khat overflows a float") from None
+    sd = math.sqrt(var)
 
     return SimulationCell(
         n=n,
         cv=cv,
         runs=runs,
         seed=seed,
-        mean_khat=mean,
+        mean_khat=sum_k.value("mean_khat") / runs,
         sd_khat=sd,
         pred_mean=cv * cv,
         pred_sd=sd_k_hat(n, cv * cv),
@@ -294,11 +306,7 @@ def efficiency_curve(
     spacing: Literal["log", "linear"] = "log",
 ) -> list[tuple[float, float]]:
     """Large-sample efficiency sampled on a grid of log-space variances."""
-    if not (
-        math.isfinite(sigma2_min)
-        and math.isfinite(sigma2_max)
-        and 0.0 < sigma2_min < sigma2_max
-    ):
+    if not 0.0 < sigma2_min < sigma2_max < math.inf:
         raise DomainError(
             f"need 0 < sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]"
         )

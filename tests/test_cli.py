@@ -432,7 +432,9 @@ class TestGoldenDigests:
         [
             (
                 ["simulate", "--n", "2,10,100", "--cv", "0.1,0.5,1.0", "--runs", "2000", "--seed", "7"],
-                "0afea9c1a04d0a3f83d968c251e20c8a1bf35d023a4c64da6883787993485069",
+                # sd_khat of (2, 0.1) changed once with the one-pass reduction,
+                # from 0.432 to 0.568 ulp off the exact value
+                "821f2f957e711a5069c15b438284342f05dbfed75a322dde8476b2afea9dfd57",
             ),
             (["efficiency"], "16f7ee5ab51fd5ac673dfbcd44d4f986d6e24e6fd627e3bc5c505f78431b00b4"),
         ],

@@ -527,6 +527,10 @@ class TestPredictions:
     def test_corrected_uncorrected_consistency(self, n, k):
         assert rel_diff(var_k_hat(n, k), (n / (n - 1)) ** 2 * var_k_n(n, k)) <= 1e-12
 
+    def test_var_k_n_is_exact_on_fractions_past_the_float_range(self):
+        k = Fraction(10) ** 400
+        assert var_k_n(Fraction(3), k) == Fraction(4, 9) * k * k * (1 + k + k * k / 6)
+
     def test_domain_errors(self):
         for fn in (expected_k_n, var_k_n, var_k_hat):
             with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,33 @@ class TestCellSeeds:
     def test_fits_in_64_bits(self):
         for i in range(10):
             assert 0 <= derive_cell_seed(7, i) < 2**64
+
+
+def _estimates(n, cv, runs, seed):
+    """A cell's per-run estimates, redrawn in one piece."""
+    sigma = math.sqrt(math.log1p(cv * cv))
+    x = np.exp(np.random.default_rng(seed).normal(0.0, sigma, size=(runs, n)))
+    return kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n) * (n / (n - 1.0))
+
+
+def _within_ulps_of_exact_sd(sd, estimates, ulps):
+    """Whether sd is within ulps ulp of the exact sample sd of estimates, on
+    the integers m * 2**53 of their frexp mantissas."""
+    m, e = np.frexp(estimates)
+    e = e.astype(np.int64) - 53
+    base = int(e.min())
+    ints = [a << b for a, b in zip((m * 2.0**53).astype(np.int64).tolist(), (e - base).tolist())]
+    r, s1 = len(ints), sum(ints)
+    # the variance is (r * sum(ints**2) - s1**2) / (r * (r - 1)) * 4**base
+    num, den = r * sum(i * i for i in ints) - s1 * s1, r * (r - 1)
+
+    def square_vs_var(x):
+        a, b = x.as_integer_ratio()
+        lhs, rhs = a * a * den << max(0, -2 * base), num * b * b << max(0, 2 * base)
+        return (lhs > rhs) - (lhs < rhs)
+
+    step = ulps * math.ulp(sd)
+    return square_vs_var(sd - step) <= 0 <= square_vs_var(sd + step)
 
 
 class TestRunCell:
@@ -110,17 +138,54 @@ class TestRunCell:
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_reduction_equals_fsum_of_the_estimates(self, n):
-        # runs span several sampling steps and ExactSum blocks, which at n=7
+        # runs span several sampling steps and reduction blocks, which at n=7
         # (4681 runs a step) do not line up; the per-run estimates are redrawn
         # here in one piece, since a normal stream is the same for any split
-        cv, runs, seed = 0.7, 2 * montecarlo._CHUNK_ELEMS + 5, 41
+        cv, runs, seed = 0.7, 2 * montecarlo._BLOCK_RUNS + 5, 41
         cell = run_cell(n, cv, runs, seed)
-        sigma = math.sqrt(math.log1p(cv * cv))
-        x = np.exp(np.random.default_rng(seed).normal(0.0, sigma, size=(runs, n)))
-        estimates = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n) * (n / (n - 1.0))
-        mean = math.fsum(estimates.tolist()) / runs
-        sq_resid = math.fsum(np.square(estimates - mean).tolist())
-        assert (cell.mean_khat, cell.sd_khat) == (mean, math.sqrt(sq_resid / (runs - 1)))
+        estimates = _estimates(n, cv, runs, seed)
+        assert cell.mean_khat == math.fsum(estimates.tolist()) / runs
+        assert _within_ulps_of_exact_sd(cell.sd_khat, estimates, 2)
+
+    @pytest.mark.parametrize(
+        "n, cv, runs, seed",
+        # spread estimates, or a mean far from cv^2, where squares about cv^2
+        # would be 363, 2.7 and 5e15 ulp off
+        [(3, 5.0, 2, 230127785), (10, 2.0, 2, 642585259), (2, 1e40, 1000, 858379749)],
+    )
+    def test_sd_is_within_2_ulp_at_the_edges(self, n, cv, runs, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cell = run_cell(n, cv, runs, seed)
+        assert _within_ulps_of_exact_sd(cell.sd_khat, _estimates(n, cv, runs, seed), 2)
+
+    def test_equal_estimates_have_sd_zero(self):
+        # at cv = 1e-9 both runs' sums round to a ratio of exactly 1
+        assert np.all(_estimates(2, 1e-9, 2, 259047510) == 0.0)
+        assert run_cell(2, 1e-9, 2, 259047510).sd_khat == 0.0
+
+    def test_cells_do_not_depend_on_the_block_size(self, monkeypatch):
+        specs = [(2, 0.5, 3 * 2**16 + 7, 5), (7, 1.0, 2**17 + 1, 6), (100, 0.1, 40_000, 7)]
+        cells = [run_cell(*spec) for spec in specs]
+        monkeypatch.setattr(montecarlo, "_BLOCK_RUNS", 2**15)
+        assert [run_cell(*spec) for spec in specs] == cells
+
+    def test_memory_is_flat_in_runs(self):
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                run_cell(2, 0.5, runs, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(2**20)
+        assert small <= 4 * 2**20
+        assert peak(2**22) <= small + 2**19
+
+    def test_population_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^cv must be <="):
+            run_cell(2, 10**400, 10, 1)
 
     @pytest.mark.parametrize(
         "mu_y, cv", [(705.0, 3.0), (-705.0, 3.0), (709.0, 1.0), (-744.0, 0.1)]
