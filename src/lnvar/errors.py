@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -41,6 +42,23 @@ class BudgetExceededError(LnvarError):
 # much past it numpy cannot even size the array, and np.linspace(1, 2, 2**60 - 1)
 # raises ValueError.
 MAX_FLOAT_ARRAY_LEN = 1 << 59
+
+
+BUDGET_ENV_VAR = "LNVAR_MAX_DRAWS"
+DEFAULT_MAX_DRAWS = 10**9
+
+
+def check_draw_budget(cost: int, request: str) -> None:
+    """BudgetExceededError if cost draws exceed LNVAR_MAX_DRAWS, by default DEFAULT_MAX_DRAWS."""
+    env = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_MAX_DRAWS))
+    try:
+        budget = int(env)
+    except ValueError:
+        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    check_int(budget, BUDGET_ENV_VAR, 0)
+    if cost > budget:
+        message = f"{request} needs {cost} draws, over the budget of {budget}"
+        raise BudgetExceededError(f"{message}; raise {BUDGET_ENV_VAR} to allow it", cost, budget)
 
 
 def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> None:

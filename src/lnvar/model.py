@@ -129,13 +129,14 @@ def pdf_gk(x: float, g: float, k: float) -> float:
     return pdf(x, params_from_gk(g, k))
 
 
-def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
+def sample(p: LogNormalParams, n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. lognormal variates, deterministic for fixed (seed, n, p).
 
     Uses numpy's PCG64 stream seeded through SeedSequence(seed); normal
     variates come from the ziggurat sampler and are exponentiated in place
     onto the positive support.  The contract is distributional plus
-    determinism, not bit-compatibility with any other generator.
+    determinism, not bit-compatibility with any other generator.  A Generator
+    seed draws on from its state: blocks drawn from it in turn equal one draw.
 
     Every draw must be usable by the estimator: a positive finite float with
     a finite reciprocal.  A draw that overflows to inf, underflows to 0, or
@@ -144,7 +145,8 @@ def sample(p: LogNormalParams, n: int, seed: int) -> np.ndarray:
     warning.
     """
     check_int(n, "n", 1, MAX_FLOAT_ARRAY_LEN)
-    check_int(seed, "seed", 0)
+    if not isinstance(seed, np.random.Generator):
+        check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     values = rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n)
     with np.errstate(over="ignore", under="ignore"):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,6 +304,47 @@ class TestSample:
         assert main(["sample", *flags, "-o", str(data)]) == EXIT_OK
         values = sample(params_from_gk(1.0, 0.5), n, 4)
         assert data.read_text() == "".join(format(v, ".17g") + "\n" for v in values)
+
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    def test_draw_beyond_float_range_after_the_first_block_is_refused(
+        self, tmp_path, capsys, target
+    ):
+        # the first inf of this stream is draw 16409, in the second block of 2^14
+        data = tmp_path / "draw.txt"
+        argv = ["sample", "--mu", "700", "--sigma2", "6.25", "-n", "200000", "--seed", "2"]
+        if target == "file":
+            argv += ["-o", str(data)]
+        code, out, err = run_main(argv, capsys)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "beyond the float range" in err
+        assert not data.exists()
+
+    def test_draw_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LNVAR_MAX_DRAWS", "10")
+        data = tmp_path / "draw.txt"
+        flags = ["sample", "--g", "1", "--k", "0.5", "-o", str(data)]
+        assert main(flags + ["-n", "10"]) == EXIT_OK
+        assert len(data.read_text().splitlines()) == 10
+        data.unlink()
+        code, out, err = run_main(flags + ["-n", "11"], capsys)
+        assert code == EXIT_BUDGET
+        assert "11" in err and "LNVAR_MAX_DRAWS" in err
+        assert not data.exists()
+
+    def test_memory_is_flat_in_n(self, tmp_path):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                flags = ["--g", "1", "--k", "0.5", "-n", str(n), "-o", str(tmp_path / "d.txt")]
+                assert main(["sample", *flags]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(2**20)
+        assert small <= 4 * 2**20
+        assert peak(2**22) <= small + 2**19
 
     def test_negative_seed_is_a_data_error(self, capsys):
         code, out, err = run_main(

@@ -173,6 +173,12 @@ class TestSample:
         b = sample(p, 1000, 77)
         assert np.array_equal(a, b)
 
+    def test_blocks_from_one_generator_equal_one_draw(self):
+        p = LogNormalParams(0.1, 0.5)
+        rng = np.random.default_rng(77)
+        blocks = [sample(p, k, rng) for k in (1, 999, 2**14, 5)]
+        assert np.array_equal(np.concatenate(blocks), sample(p, 2**14 + 1005, 77))
+
     def test_different_seeds_differ(self):
         p = LogNormalParams(0.1, 0.5)
         assert not np.array_equal(sample(p, 100, 1), sample(p, 100, 2))

@@ -200,7 +200,13 @@ class TestRunCell:
 
     @pytest.mark.parametrize(
         "cv, mu_y, name",
-        [(1e300, 0.0, "cv"), (1.5e154, 0.0, "cv"), (0.5, 800.0, "mu_y"), (0.5, -800.0, "mu_y")],
+        [
+            (1e300, 0.0, "cv"),
+            (1.5e154, 0.0, "cv"),
+            (0.5, 800.0, "mu_y"),
+            (0.5, -800.0, "mu_y"),
+            pytest.param(10**400, 0.0, "cv", id="int-past-float-cv"),
+        ],
     )
     def test_population_beyond_float_range_names_the_parameter(self, cv, mu_y, name):
         with pytest.raises(DomainError, match=f"^{name} must be"):
