@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -47,16 +48,21 @@ EXIT_BUDGET = 5
 # 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
 _BLOCK_CHARS = 16 * 1024
 
-# sample draws, checks and writes this many values at a time, with one %-format of
-# a repeated template per block.  `lnvar.cli.main` writing 1e6 values to a file
-# (x86-64, Python 3.11, numpy 2.4): 0.84 s and 35 MB peak RSS at 2^12 values,
-# 0.89 s and 37 MB at 2^14, 0.84 s and 44 MB at 2^16; one block of all values
-# took 0.96 s and 125 MB.
+# sample draws, checks and writes this many values at a time.  Writing 1e6 values
+# to a file, in a child (x86-64, Python 3.11, numpy 2.4): 0.57 s and 36.7 MB peak RSS
+# at 2^12, 0.56 s and 36.7 MB at 2^14, 0.58 s and 37.4 MB at 2^16, 0.59 s and 51.8 MB in one.
 _WRITE_CHUNK = 1 << 14
 
 # Every float is written with 17 significant digits, enough for a lossless
-# round trip.  "%" and format() share CPython's conversion for this spec.
+# round trip.  "%" and format() share CPython's conversion for this spec, and
+# _format_lines is its vectorized twin, held to "%" by test_cli.py::TestFormatLines.
 _FLOAT_FORMAT = "%.17g"
+
+# sample formats this many values per _format_lines call: at 2^12 the temporaries
+# outgrow glibc's heap trim threshold and fault in anew each call, +0.08 s per 1e6.
+_FORMAT_CHUNK = 1 << 11
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact floats
+_POW10_INT = _POW10[:18].astype(np.int64)
 
 
 class _UsageError(Exception):
@@ -199,11 +205,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # a first pass only checks the draws, so that none is refused after the output opens
     for _ in _sample_blocks(params, args.n, args.seed):
         pass
-    line = _FLOAT_FORMAT + "\n"
     with _output(args.output) as fh:
         for block in _sample_blocks(params, args.n, args.seed):
-            chunk = block.tolist()
-            fh.write((line * len(chunk)) % tuple(chunk))
+            for start in range(0, block.size, _FORMAT_CHUNK):
+                fh.write(_format_lines(block[start : start + _FORMAT_CHUNK]))
     return EXIT_OK
 
 
@@ -215,6 +220,66 @@ def _sample_blocks(params: LogNormalParams, n: int, seed: int) -> Iterator[np.nd
     rng = np.random.default_rng(seed)
     for start in range(0, n, _WRITE_CHUNK):
         yield sample(params, min(_WRITE_CHUNK, n - start), rng)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """quads[g + 10**4 * t] is the four ASCII digits of g < 10**4 as one uint32; t = 1
+    blanks their leading zeros to NUL, t = 2 their trailing zeros.  first[10 * (16 - e) + t]
+    is the fraction's first digit t after "." (e >= 0), or after the zeros after "0." (e < 0)."""
+    g = np.arange(10**4)[:, None]
+    digits = (g // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    lead, trail = g < [1000, 100, 10, 1], g % [10000, 1000, 100, 10] == 0
+    quads = np.concatenate([digits, digits * ~lead, digits * ~trail]).view(np.uint32).ravel()
+    heads = [("." if k <= 16 else "0" * (k - 17)) + str(t) for k in range(21) for t in range(10)]
+    return quads, np.frombuffer("".join(h.rjust(4, "\0") for h in heads).encode(), np.uint32)
+
+
+def _format_lines(x: np.ndarray) -> str:
+    """The string "".join(_FLOAT_FORMAT % v + "\n" for v in x), built on arrays.
+
+    %.17g writes x in fixed notation when e = floor(log10(x)) is in [-4, 16].
+    There Dekker's product gives hi + lo == x * 10**(16 - e) exactly, hi is an
+    even integer, and d = hi + rint(lo) is the round-half-even 17-digit integer
+    that "%" prints; its digits fill uint32 words of ASCII, NUL where a line has
+    no character, and the NULs are deleted.  Other values, and those whose d
+    is not 17 digits (log10 off by one, or a carry), are written by "%".
+    """
+    quads, first = _digit_tables()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    fast = (e >= -4.0) & (e <= 16.0)
+    k = np.where(fast, 16.0 - e, 0.0).astype(np.intp)
+    y = np.where(fast, x, 1e16)
+    s = _POW10[k]
+    hi = y * s
+    yh, sh = y * 134217729.0, s * 134217729.0  # Veltkamp's split at 2**27 + 1
+    yh, sh = yh - (yh - y), sh - (sh - s)
+    yl, sl = y - yh, s - sh
+    lo = ((yh * sh - hi) + yh * sl + yl * sh) + yl * sl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= (d >= 10**16) & (d < 10**17)
+    i = np.floor(y).astype(np.int64)  # d's integer part: 0 for e < 0
+    f = (d - i * _POW10_INT[np.minimum(k, 17)]) * _POW10_INT[np.maximum(17 - k, 0)]
+    n_int = int(e.max(where=fast, initial=0.0)) // 4 + 1
+    out = np.full((x.size, n_int + 6), 10, np.uint32)  # "\n" stays in the last word
+    for c in range(n_int - 1, -1, -1):
+        q = i // 10**4
+        out[:, c] = quads[i - q * 10**4 + 10**4 * (q == 0)]
+        i = q
+    out[:, n_int - 1] = np.where(k > 16, np.frombuffer(b"\0\x000.", np.uint32), out[:, n_int - 1])
+    tail = np.ones(x.size, bool)  # no nonzero digit follows
+    for c in range(n_int + 4, n_int, -1):
+        q = f // 10**4
+        g = f - q * 10**4
+        out[:, c] = quads[g + 2 * 10**4 * tail]
+        tail &= g == 0
+        f = q
+    out[:, n_int] = np.where(tail & (f == 0), 0, first[10 * k + f])
+    slow = np.flatnonzero(~fast)
+    rows = "".join((_FLOAT_FORMAT % v + "\n").ljust(4 * n_int + 24, "\0") for v in x[slow])
+    out[slow] = np.frombuffer(rows.encode("ascii"), np.uint32).reshape(-1, n_int + 6)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

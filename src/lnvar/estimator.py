@@ -327,7 +327,7 @@ class SampleAccumulator:
 def expected_k_n(n: int, k: float) -> float:
     """Expected value of the uncorrected relative ratio: (n-1)/n * k."""
     check_int(n, "n", 2)
-    check_at_least(k, "k")
+    check_at_least(k, "k", maximum=sys.float_info.max)
     return (n - 1) / n * k
 
 
@@ -344,9 +344,10 @@ def sd_k_n(n: int, k: float) -> float:
 
 
 def var_k_hat(n: int, k: float) -> float:
-    """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n))."""
+    """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n)), in floats."""
     check_int(n, "n", 2)
-    check_at_least(k, "k")
+    check_at_least(k, "k", maximum=sys.float_info.max)
+    k = float(k)
     return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / (2.0 * n))
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from lnvar.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     _BLOCK_CHARS,
+    _FORMAT_CHUNK,
     _WRITE_CHUNK,
+    _format_lines,
     cells_to_csv,
     fsig,
     main,
@@ -504,10 +507,29 @@ class TestGoldenDigests:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
-    @pytest.mark.parametrize("target", ["file", "stdout"])
-    def test_sample_digest(self, tmp_path, capsys, target):
+    @pytest.mark.parametrize(
+        "target, flags, digest",
+        [
+            (
+                target,
+                ["--g", "1", "--k", "0.5", "-n", "100000", "--seed", "3"],
+                "9139ff65e8ba720a2b5af410a925d22c9551526eeb808c467e51b7cded51abb0",
+            )
+            for target in ("file", "stdout")
+        ]
+        + [
+            (
+                "file",
+                # 11,151 of these lines are in exponent notation
+                ["--mu", "3", "--sigma2", "100", "-n", "100000", "--seed", "2"],
+                "acb70eecfb5c9dc88f375d7506b70d01e2fdcdfc36972183087d5d5aa1cb0c32",
+            )
+        ],
+        ids=["file", "stdout", "exponent-notation"],
+    )
+    def test_sample_digest(self, tmp_path, capsys, target, flags, digest):
         # 1e5 values span several write chunks
-        argv = ["sample", "--g", "1", "--k", "0.5", "-n", "100000", "--seed", "3"]
+        argv = ["sample", *flags]
         if target == "file":
             data = tmp_path / "draw.txt"
             assert main(argv + ["-o", str(data)]) == EXIT_OK
@@ -516,7 +538,6 @@ class TestGoldenDigests:
             code, out, _ = run_main(argv, capsys)
             assert code == EXIT_OK
             raw = out.encode("ascii")
-        digest = "9139ff65e8ba720a2b5af410a925d22c9551526eeb808c467e51b7cded51abb0"
         assert hashlib.sha256(raw).hexdigest() == digest
 
     def test_verify_digest(self, capsys):
@@ -524,6 +545,55 @@ class TestGoldenDigests:
         assert code == EXIT_OK
         digest = "e12fcf2e8f0e6534f8a8a29177efc7af9da3a62a5af080be47c2abef02d9ce7b"
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+class TestFormatLines:
+    """_format_lines against _FLOAT_FORMAT % v, value by value."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        for start in range(0, values.size, _FORMAT_CHUNK):
+            chunk = values[start : start + _FORMAT_CHUNK]
+            got, want = _format_lines(chunk), "".join("%.17g\n" % v for v in chunk.tolist())
+            if got != want:
+                lines = zip(chunk.tolist(), got.split("\n"), want.split("\n"))
+                pytest.fail(f"value, got, want: {next((t for t in lines if t[1] != t[2]), None)}")
+
+    def test_log_uniform_across_the_fixed_notation_range(self):
+        # 1e-5 to 1e18 covers both sides of fixed notation, e in [-4, 16]
+        rng = np.random.default_rng(2015)
+        self.check(10.0 ** rng.uniform(-5.0, 18.0, 1_000_000))
+
+    def test_integers_above_2_to_the_53(self):
+        rng = np.random.default_rng(7)
+        self.check(rng.integers(2**53, 10**17, 100_000).astype(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        tens = [float(f"1e{e}") for e in range(-5, 18)]
+        self.check([v for x in tens for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))])
+
+    def test_ties_of_the_seventeenth_digit_round_half_even(self):
+        # x = M * 2**-(17 - e), M odd, in [10**e, 10**(e+1)): x * 10**(16 - e)
+        # is M * 5**(16 - e) / 2, exactly halfway between two integers
+        rng = np.random.default_rng(38)
+        ties = []
+        for e in range(-4, 16):
+            scale = 2 ** (17 - e)
+            lo = math.ceil(Fraction(10) ** e * scale)
+            hi = min(math.ceil(Fraction(10) ** (e + 1) * scale), 2**53)
+            x = np.ldexp((2 * rng.integers(lo // 2, hi // 2, 2000) + 1).astype(np.float64), e - 17)
+            assert all((Fraction(v) * 10 ** (16 - e)).denominator == 2 for v in x.tolist())
+            ties.append(x)
+        self.check(np.concatenate(ties))
+
+    def test_subnormals_extremes_and_short_lines(self):
+        tiny = [5e-324, 1e-320, 2.5e-310, sys.float_info.min, np.nextafter(sys.float_info.min, 0.0)]
+        extremes = [sys.float_info.max, 1e300, 1e-300, 0.0, -0.0, -1.5, math.inf, -math.inf]
+        self.check(tiny + extremes + [math.nan, 0.5, 1.0, 100.0, 123.0, 1e16, 1e-4, 9.5e-5])
+
+    def test_empty(self):
+        assert _format_lines(np.array([])) == ""
 
 
 class TestEfficiency:

@@ -511,6 +511,17 @@ class TestPredictions:
             want = 2.0 * (n - 1) / (n * n) * k * k * (1.0 + k + k * k / (2.0 * n))
             assert var_k_n(n, k) == want, (n, k)
 
+    def test_closed_forms_keep_float_bytes(self):
+        # the range checks and float(k) leave every float result as it was
+        rng = np.random.default_rng(2016)
+        ns = np.exp(rng.uniform(math.log(2), 26 * math.log(2), 10_000)).astype(np.int64)
+        ks = np.exp(rng.uniform(-300.0, 170.0, 10_000))
+        for n, k in zip(ns.tolist(), ks.tolist()):
+            assert expected_k_n(n, k) == (n - 1) / n * k, (n, k)
+            var_hat = 2.0 / (n - 1) * k * k * (1.0 + k + k * k / (2.0 * n))
+            assert var_k_hat(n, k) == var_hat, (n, k)
+            assert sd_k_hat(n, k) == math.sqrt(var_hat), (n, k)
+
     @pytest.mark.parametrize("k", [0.1, 1.0, 5.0])
     def test_var_k_2_closed_form(self, k):
         assert rel_diff(var_k_n(2, k), k * k * (k + 2.0) ** 2 / 8.0) <= 1e-12
@@ -530,6 +541,13 @@ class TestPredictions:
     def test_var_k_n_is_exact_on_fractions_past_the_float_range(self):
         k = Fraction(10) ** 400
         assert var_k_n(Fraction(3), k) == Fraction(4, 9) * k * k * (1 + k + k * k / 6)
+
+    def test_k_past_the_float_range_is_a_domain_error_naming_k(self):
+        for fn, k in [(expected_k_n, Fraction(10) ** 400), (var_k_hat, 10**400), (sd_k_hat, 10**400)]:
+            with pytest.raises(DomainError, match="^k must be <= 1.7976931348623157e[+]308"):
+                fn(2, k)
+        # a k inside the float range whose variance is not reads inf, as a float k does
+        assert var_k_hat(2, 10**300) == sd_k_hat(2, 10**300) == sd_k_hat(2, 1e300) == math.inf
 
     def test_domain_errors(self):
         for fn in (expected_k_n, var_k_n, var_k_hat):
