@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError, DomainError, check_draw_budget, check_int, check_support
-from .estimator import EstimateReport, SampleAccumulator
+from .estimator import EstimateReport, SampleAccumulator, two_product
 from .model import LogNormalParams, params_from_gk, sample
 from .montecarlo import (
     DEFAULT_CV_VALUES,
@@ -48,19 +48,16 @@ EXIT_BUDGET = 5
 # 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
 _BLOCK_CHARS = 16 * 1024
 
-# sample draws, checks and writes this many values at a time.  Writing 1e6 values
-# to a file, in a child (x86-64, Python 3.11, numpy 2.4): 0.57 s and 36.7 MB peak RSS
-# at 2^12, 0.56 s and 36.7 MB at 2^14, 0.58 s and 37.4 MB at 2^16, 0.59 s and 51.8 MB in one.
-_WRITE_CHUNK = 1 << 14
+# sample draws, checks and formats this many values at a time.  From 2^12 on, _format_lines's
+# temporaries may outgrow glibc's heap trim threshold and fault in anew: 1e6 values to a file
+# take 0.60/0.65/0.64 s CPU, 36.2/36.5/37.2 MB RSS, 5k/28k/37k faults at 2^11/12/13 (x86-64).
+_WRITE_CHUNK = 1 << 11
 
 # Every float is written with 17 significant digits, enough for a lossless
 # round trip.  "%" and format() share CPython's conversion for this spec, and
 # _format_lines is its vectorized twin, held to "%" by test_cli.py::TestFormatLines.
 _FLOAT_FORMAT = "%.17g"
 
-# sample formats this many values per _format_lines call: at 2^12 the temporaries
-# outgrow glibc's heap trim threshold and fault in anew each call, +0.08 s per 1e6.
-_FORMAT_CHUNK = 1 << 11
 _POW10 = np.array([float(10**k) for k in range(21)])  # exact floats
 _POW10_INT = _POW10[:18].astype(np.int64)
 
@@ -207,8 +204,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         pass
     with _output(args.output) as fh:
         for block in _sample_blocks(params, args.n, args.seed):
-            for start in range(0, block.size, _FORMAT_CHUNK):
-                fh.write(_format_lines(block[start : start + _FORMAT_CHUNK]))
+            fh.write(_format_lines(block))
     return EXIT_OK
 
 
@@ -239,7 +235,7 @@ def _format_lines(x: np.ndarray) -> str:
     """The string "".join(_FLOAT_FORMAT % v + "\n" for v in x), built on arrays.
 
     %.17g writes x in fixed notation when e = floor(log10(x)) is in [-4, 16].
-    There Dekker's product gives hi + lo == x * 10**(16 - e) exactly, hi is an
+    There two_product gives hi + lo == x * 10**(16 - e) exactly, hi is an
     even integer, and d = hi + rint(lo) is the round-half-even 17-digit integer
     that "%" prints; its digits fill uint32 words of ASCII, NUL where a line has
     no character, and the NULs are deleted.  Other values, and those whose d
@@ -251,12 +247,7 @@ def _format_lines(x: np.ndarray) -> str:
     fast = (e >= -4.0) & (e <= 16.0)
     k = np.where(fast, 16.0 - e, 0.0).astype(np.intp)
     y = np.where(fast, x, 1e16)
-    s = _POW10[k]
-    hi = y * s
-    yh, sh = y * 134217729.0, s * 134217729.0  # Veltkamp's split at 2**27 + 1
-    yh, sh = yh - (yh - y), sh - (sh - s)
-    yl, sl = y - yh, s - sh
-    lo = ((yh * sh - hi) + yh * sl + yl * sh) + yl * sl
+    hi, lo = two_product(y, _POW10[k])
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     fast &= (d >= 10**16) & (d < 10**17)
     i = np.floor(y).astype(np.int64)  # d's integer part: 0 for e < 0

@@ -65,16 +65,16 @@ def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -
     """DomainError unless the integer value is at least minimum, and at most
     maximum when one is given."""
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {_brief(value)}")
     if maximum is not None and value > maximum:
-        raise DomainError(f"{name} must be <= {maximum}, got {value}")
+        raise DomainError(f"{name} must be <= {maximum}, got {_brief(value)}")
 
 
 def check_positive(value: float, name: str, maximum: float = math.inf) -> None:
     """DomainError unless 0 < value < inf, and value <= maximum when one is given;
     ints and Fractions of any size compare exactly."""
     if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+        raise DomainError(f"{name} must be positive and finite, got {_brief(value)}")
     _check_at_most(value, name, maximum)
 
 
@@ -84,13 +84,21 @@ def check_at_least(
     """DomainError unless minimum <= value < inf (by default, non-negative), and
     value <= maximum when one is given; compares like check_positive."""
     if not minimum <= value < math.inf:
-        raise DomainError(f"{name} must be >= {minimum:g} and finite, got {value}")
+        raise DomainError(f"{name} must be >= {minimum:g} and finite, got {_brief(value)}")
     _check_at_most(value, name, maximum)
 
 
 def _check_at_most(value: float, name: str, maximum: float) -> None:
     if value > maximum:
-        raise DomainError(f"{name} must be <= {maximum!r}, got {value!r}")
+        raise DomainError(f"{name} must be <= {maximum!r}, got {_brief(value)}")
+
+
+def _brief(value: float) -> str:
+    """str(value), or for an int or Fraction longer than 40 characters its first digits."""
+    if len(text := str(value)) <= 40 or not hasattr(value, "denominator"):
+        return text
+    from decimal import Decimal  # only for such a message
+    return f"about {Decimal(value.numerator) / value.denominator:.6g}"
 
 
 def _off_support(xs: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ __all__ = [
     "SampleAccumulator",
     "EstimateReport",
     "ExactSum",
+    "two_product",
     "kn_from_sums",
     "expected_k_n",
     "var_k_n",
@@ -126,6 +127,17 @@ class ExactSum:
         """self, or OverflowError naming quantity when the sum is beyond the float range."""
         self.value(quantity)
         return self
+
+
+def two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi = fl(a * b) and lo with hi + lo == a * b exactly, elementwise: Dekker's product
+    (Numer. Math. 18, 1971) on Veltkamp's split at 2**27 + 1.  Exact when nothing over-
+    or underflows: |a|, |b| < 2**996 and 2**-969 <= |a * b| < 2**1023."""
+    hi = a * b
+    ah, bh = a * 134217729.0, b * 134217729.0
+    ah, bh = ah - (ah - a), bh - (bh - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
 def _finite(value: float, quantity: str) -> float:
@@ -229,7 +241,7 @@ class SampleAccumulator:
         The whole block is validated, and all three new sums formed, before
         any sum changes, so a rejected block leaves the accumulator as it was.
         A sum_x or sum_inv_x beyond the float range raises OverflowError.
-        Each x*x enters exactly as (hi + lo) * 2**(2e), x = m * 2**e, m in [0.5, 1).
+        Each x*x enters exactly as two_product(m, m) times 2**(2e), x = m * 2**e.
         """
         xs = np.asarray(xs, dtype=np.float64).ravel()
         if xs.size == 0:
@@ -238,12 +250,7 @@ class SampleAccumulator:
         sx = (self._sx + ExactSum.of(xs)).checked("sum_x")
         sinv = (self._sinv + ExactSum.of(1.0 / xs)).checked("sum_inv_x")
         m, e = np.frexp(xs)
-        mh = m * 134217729.0  # Veltkamp's split at 2**27 + 1 for Dekker's m*m = hi + lo
-        mh -= mh - m
-        ml = m - mh
-        hi = m * m
-        lo = ((mh * mh - hi) + 2.0 * mh * ml) + ml * ml
-        sx2 = self._sx2 + ExactSum.of(np.concatenate([hi, lo]), np.tile(2 * e, 2))
+        sx2 = self._sx2 + ExactSum.of(np.concatenate(two_product(m, m)), np.tile(2 * e, 2))
         self._sx, self._sinv, self._sx2 = sx, sinv, sx2
         self.n += xs.size
 
@@ -333,10 +340,13 @@ def expected_k_n(n: int, k: float) -> float:
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
-    Exact on Fractions."""
-    check_int(n, "n", 2)
-    check_at_least(k, "k")
-    return 2 * (n - 1) / (n * n) * k * k * (1 + k + k * k / (2 * n))
+    Exact when n is a Fraction; otherwise in floats, as var_k_hat is."""
+    check_int(n, "n", 2, sys.float_info.max)
+    factor = 2 * (n - 1) / (n * n)  # a float unless n is a Fraction
+    check_at_least(k, "k", maximum=sys.float_info.max if isinstance(factor, float) else math.inf)
+    if isinstance(factor, float):
+        k = float(k)
+    return factor * k * k * (1 + k + k * k / n / 2)
 
 
 def sd_k_n(n: int, k: float) -> float:
@@ -345,10 +355,10 @@ def sd_k_n(n: int, k: float) -> float:
 
 def var_k_hat(n: int, k: float) -> float:
     """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n)), in floats."""
-    check_int(n, "n", 2)
+    check_int(n, "n", 2, sys.float_info.max)
     check_at_least(k, "k", maximum=sys.float_info.max)
     k = float(k)
-    return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / (2.0 * n))
+    return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / n / 2.0)
 
 
 def sd_k_hat(n: int, k: float) -> float:

@@ -21,7 +21,6 @@ from lnvar.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     _BLOCK_CHARS,
-    _FORMAT_CHUNK,
     _WRITE_CHUNK,
     _format_lines,
     cells_to_csv,
@@ -312,7 +311,7 @@ class TestSample:
     def test_draw_beyond_float_range_after_the_first_block_is_refused(
         self, tmp_path, capsys, target
     ):
-        # the first inf of this stream is draw 16409, in the second block of 2^14
+        # the first inf of this stream is draw 16409, some blocks past the first
         data = tmp_path / "draw.txt"
         argv = ["sample", "--mu", "700", "--sigma2", "6.25", "-n", "200000", "--seed", "2"]
         if target == "file":
@@ -553,8 +552,8 @@ class TestFormatLines:
     @staticmethod
     def check(values):
         values = np.asarray(values, dtype=np.float64)
-        for start in range(0, values.size, _FORMAT_CHUNK):
-            chunk = values[start : start + _FORMAT_CHUNK]
+        for start in range(0, values.size, _WRITE_CHUNK):
+            chunk = values[start : start + _WRITE_CHUNK]
             got, want = _format_lines(chunk), "".join("%.17g\n" % v for v in chunk.tolist())
             if got != want:
                 lines = zip(chunk.tolist(), got.split("\n"), want.split("\n"))

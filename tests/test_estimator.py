@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lnvar import estimator
+from lnvar.cli import _POW10
 from lnvar.errors import DomainError, EmptySampleError, SampleTooSmallError
 from lnvar.estimator import (
     ExactSum,
@@ -17,6 +18,7 @@ from lnvar.estimator import (
     measurement_cost,
     sd_k_hat,
     sd_k_n,
+    two_product,
     var_k_hat,
     var_k_n,
 )
@@ -277,6 +279,37 @@ class TestExactSum:
         assert total.value() == float(Fraction(x) * 2**40)
         total = total + ExactSum.of(np.array([x]))
         assert total.value() == float(Fraction(x) * (2**40 + 1))
+
+
+class TestTwoProduct:
+    """hi == fl(a * b) and hi + lo == a * b exactly, checked with Fractions."""
+
+    @staticmethod
+    def check(a, b):
+        hi, lo = two_product(a, b)
+        assert np.array_equal(hi, a * b)
+        for x, y, h, l in zip(a.tolist(), b.tolist(), hi.tolist(), lo.tolist()):
+            assert Fraction(h) + Fraction(l) == Fraction(x) * Fraction(y), (x, y)
+
+    def test_squares_of_frexp_mantissas(self):
+        # the squares that SampleAccumulator.extend sums
+        m, _ = np.frexp(np.exp(np.random.default_rng(16).normal(0.0, 20.0, 20_000)))
+        self.check(m, m)
+
+    def test_products_with_each_power_of_ten(self):
+        # the products that cli._format_lines rounds to 17 digits
+        y = np.exp(np.random.default_rng(17).normal(0.0, 10.0, 2000))
+        for p in _POW10:
+            self.check(y, np.full_like(y, p))
+
+    @pytest.mark.parametrize(
+        "ea, eb", [(500, 500), (500, -500), (-500, 500)], ids=["high-high", "high-low", "low-high"]
+    )
+    def test_operands_near_two_to_the_plus_minus_500(self, ea, eb):
+        # (-500, -500) is left out: the low part of a product near 2**-1000 underflows
+        rng = np.random.default_rng(ea - eb + 1000)
+        a, b = np.ldexp(rng.uniform(-2.0, 2.0, (2, 5000)), [[ea], [eb]])
+        self.check(a, b)
 
 
 class TestMeans:
@@ -543,11 +576,29 @@ class TestPredictions:
         assert var_k_n(Fraction(3), k) == Fraction(4, 9) * k * k * (1 + k + k * k / 6)
 
     def test_k_past_the_float_range_is_a_domain_error_naming_k(self):
-        for fn, k in [(expected_k_n, Fraction(10) ** 400), (var_k_hat, 10**400), (sd_k_hat, 10**400)]:
-            with pytest.raises(DomainError, match="^k must be <= 1.7976931348623157e[+]308"):
+        big = Fraction(10) ** 400
+        for fn, k in [
+            (expected_k_n, big),
+            (var_k_hat, 10**400),
+            (sd_k_hat, 10**400),
+            (var_k_n, big),
+            (sd_k_n, 10**400),
+        ]:
+            with pytest.raises(DomainError, match="^k must be <= 1.7976931348623157e[+]308") as exc:
                 fn(2, k)
+            assert len(str(exc.value)) <= 200  # k is named without all of its 401 digits
         # a k inside the float range whose variance is not reads inf, as a float k does
         assert var_k_hat(2, 10**300) == sd_k_hat(2, 10**300) == sd_k_hat(2, 1e300) == math.inf
+        assert var_k_n(2, 10**300) == sd_k_n(2, Fraction(10) ** 300) == math.inf
+
+    def test_n_past_the_float_range_is_a_domain_error_naming_n(self):
+        for fn in (var_k_n, sd_k_n, var_k_hat, sd_k_hat):
+            with pytest.raises(DomainError, match="^n must be <= 1.7976931348623157e[+]308") as exc:
+                fn(10**400, 1.0)
+            assert len(str(exc.value)) <= 200
+        # an n whose 2n is past the float range still gives a float, inf where k*k overflows
+        assert var_k_n(10**308, 1e200) == var_k_hat(10**308, 1e200) == math.inf
+        assert 0.0 < var_k_n(10**308, 1.0) == pytest.approx(4e-308, rel=1e-15)
 
     def test_domain_errors(self):
         for fn in (expected_k_n, var_k_n, var_k_hat):
