@@ -342,6 +342,8 @@ def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
     Exact when n is a Fraction; otherwise in floats, as var_k_hat is."""
     check_int(n, "n", 2, sys.float_info.max)
+    if isinstance(n, np.integer):
+        n = int(n)  # n * n wraps in int64 from n = 3.04e9
     factor = 2 * (n - 1) / (n * n)  # a float unless n is a Fraction
     check_at_least(k, "k", maximum=sys.float_info.max if isinstance(factor, float) else math.inf)
     if isinstance(factor, float):
@@ -350,7 +352,10 @@ def var_k_n(n: int, k: float) -> float:
 
 
 def sd_k_n(n: int, k: float) -> float:
-    return math.sqrt(var_k_n(n, k))
+    try:
+        return math.sqrt(var_k_n(n, k))
+    except OverflowError:  # an exact variance, from a Fraction n, past the float range
+        raise DomainError("var_k_n overflows a float") from None
 
 
 def var_k_hat(n: int, k: float) -> float:

@@ -8,14 +8,19 @@ published master seed (the package default, 1729).
 import hashlib
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
 from lnvar.cli import cells_to_csv, main
 from lnvar.estimator import expected_k_n, var_k_n
 from lnvar.montecarlo import GridConfig, efficiency_curve, run_grid
-from lnvar.oracle import TermKind, exact_mean_kn, exact_var_kn, term_multiplicity
+from lnvar.oracle import (
+    TermKind,
+    exact_mean_kn,
+    exact_var_kn,
+    run_verification,
+    term_multiplicity,
+)
 
 from _properties import PROPERTY_CHECKS, rel_diff
 
@@ -35,16 +40,14 @@ def default_grid():
 
 def test_c1_oracle_equivalence():
     start = time.perf_counter()
+    # the law itself, exactly; then the float closed forms' accuracy
+    report = run_verification(12, ACCEPTANCE_OMEGAS)
+    assert report.passed, report.first_failure
     for n in range(2, 13):
         for omega in ACCEPTANCE_OMEGAS:
-            var, mean = exact_var_kn(n, omega), exact_mean_kn(n, omega)
-            # the law itself, exactly; then the float closed forms' accuracy
-            k = Fraction(omega) - 1
-            assert var == var_k_n(Fraction(n), k), (n, omega)
-            assert mean == expected_k_n(Fraction(n), k), (n, omega)
             k = omega - 1.0
-            assert rel_diff(var, var_k_n(n, k)) <= 1e-12, (n, omega)
-            assert rel_diff(mean, expected_k_n(n, k)) <= 1e-12, (n, omega)
+            assert rel_diff(exact_var_kn(n, omega), var_k_n(n, k)) <= 1e-12, (n, omega)
+            assert rel_diff(exact_mean_kn(n, omega), expected_k_n(n, k)) <= 1e-12, (n, omega)
     for n in range(2, 51):
         total = sum(term_multiplicity(kind, n) for kind in TermKind)
         assert total == (n * (n - 1)) ** 2, n
@@ -108,7 +111,11 @@ def test_c5_efficiency_curve():
 def test_c6_property_suites():
     for name, check in PROPERTY_CHECKS.items():
         for seed in range(100):
-            check(seed)
+            try:
+                check(seed)
+            except Exception as exc:
+                message = f"property suite {name} fails at seed {seed}: {exc!r}"
+                raise AssertionError(message) from exc
         print(f"  property suite {name}: 100/100")
     _report(6, "randomized property suites")
 

@@ -101,6 +101,15 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert ":3:" in err
 
+    def test_rejected_block_names_the_first_fault_past_a_comment_and_a_blank(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "data.txt"
+        data.write_text("1.5\n# c\n\n-4\nbanana\n")
+        code, out, err = run_main(["estimate", str(data)], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"error: {data}:4: lognormal support is positive reals, got -4.0\n"
+
     def test_single_value_too_small(self, tmp_path, capsys):
         data = tmp_path / "data.txt"
         data.write_text("5\n")
@@ -235,13 +244,6 @@ class TestSample:
         assert code == EXIT_OK
         assert out.splitlines() == ["1", "1", "1"]
 
-    def test_deterministic_files(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        flags = ["sample", "--g", "2", "--k", "0.5", "-n", "50", "--seed", "11"]
-        assert main(flags + ["-o", str(out1)]) == EXIT_OK
-        assert main(flags + ["-o", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_round_trip_through_estimate(self, tmp_path, capsys):
         # one large draw at k = 1: the estimate must land within 4 predicted
         # standard deviations of the truth
@@ -270,8 +272,10 @@ class TestSample:
         assert code == EXIT_USAGE
 
     def test_incomplete_pair_rejected(self, capsys):
-        code, _, _ = run_main(["sample", "--mu", "0", "-n", "5"], capsys)
-        assert code == EXIT_USAGE
+        for flags, pair in [(["--mu", "0"], "--mu and --sigma2"), (["--g", "1"], "--g and --k")]:
+            code, _, err = run_main(["sample", *flags, "-n", "5"], capsys)
+            assert code == EXIT_USAGE
+            assert f"{pair} must be given together" in err
 
     def test_bad_domain_value(self, capsys):
         code, _, _ = run_main(["sample", "--g", "-1", "--k", "1", "-n", "5"], capsys)
@@ -360,12 +364,6 @@ class TestSample:
 
 class TestSimulate:
     FLAGS = ["simulate", "--n", "2", "--cv", "0.5", "--runs", "1000", "--seed", "7"]
-
-    def test_deterministic_csv(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(self.FLAGS + ["-o", str(out1)]) == EXIT_OK
-        assert main(self.FLAGS + ["-o", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_csv_shape_and_predictions(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -608,19 +606,15 @@ class TestEfficiency:
         assert float(s2) == 1.0
         assert abs(float(eff) - 1.0 / (math.e - 1.0) ** 2) <= 1e-6
 
-    def test_strictly_decreasing(self, capsys):
-        code, out, _ = run_main(
-            ["efficiency", "--min", "0.01", "--max", "4", "--points", "100"], capsys
-        )
-        assert code == EXIT_OK
-        rows = out.splitlines()[1:]
-        assert len(rows) == 100
-        values = [float(r.split(",")[1]) for r in rows]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
     def test_invalid_range(self, capsys):
-        code, _, _ = run_main(["efficiency", "--min", "4", "--max", "1"], capsys)
-        assert code == EXIT_USAGE
+        for flags, message in [
+            (["--min", "4", "--max", "1"], "--min must be below --max"),
+            (["--min", "0"], "--min must be positive"),
+            (["--points", "1"], "--points must be >= 2"),
+        ]:
+            code, out, err = run_main(["efficiency", *flags], capsys)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert message in err
 
     @pytest.mark.parametrize("bounds", [["--min", "nan", "--max", "2"], ["--max", "nan"]])
     def test_nan_range_states_no_false_comparison(self, capsys, bounds):
@@ -639,12 +633,6 @@ class TestEfficiency:
 
 
 class TestVerify:
-    def test_default_passes(self, capsys):
-        code, out, _ = run_main(["verify"], capsys)
-        assert code == EXIT_OK
-        assert out.count("PASS") == 4
-        assert "FAIL" not in out
-
     def test_small_n(self, capsys):
         code, _, _ = run_main(["verify", "--max-n", "2"], capsys)
         assert code == EXIT_OK

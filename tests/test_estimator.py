@@ -600,6 +600,21 @@ class TestPredictions:
         assert var_k_n(10**308, 1e200) == var_k_hat(10**308, 1e200) == math.inf
         assert 0.0 < var_k_n(10**308, 1.0) == pytest.approx(4e-308, rel=1e-15)
 
+    def test_numpy_integer_n_gives_the_bytes_of_the_python_int(self):
+        # n * n wraps in int64 from n = 3.04e9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2, 11, 3_037_000_500, 4_000_000_000, 2**62):
+                for kind in (np.int64, np.uint64):
+                    got = var_k_n(kind(n), 1.0)
+                    assert type(got) is float and got == var_k_n(n, 1.0), (kind, n)
+
+    def test_exact_variance_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^var_k_n overflows a float$"):
+            sd_k_n(Fraction(3), Fraction(10) ** 200)
+        k = Fraction(10) ** 50
+        assert sd_k_n(Fraction(3), k) == math.sqrt(var_k_n(Fraction(3), k)) < math.inf
+
     def test_domain_errors(self):
         for fn in (expected_k_n, var_k_n, var_k_hat):
             with pytest.raises(DomainError):
@@ -630,6 +645,9 @@ class TestEfficiency:
         values = [large_sample_efficiency(float(s2)) for s2 in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
+
+    def test_zero_where_expm1_overflows(self):
+        assert large_sample_efficiency(1000.0) == 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -61,10 +61,15 @@ class TestDeriveMoments:
             assert m.cv2 == m.k
 
     def test_overflow_names_field(self):
-        with pytest.raises(DomainError, match="alpha"):
-            derive_moments(LogNormalParams(0.0, 2000.0))
-        with pytest.raises(DomainError, match="g"):
-            derive_moments(LogNormalParams(-800.0, 0.0))
+        for mu, s2, field in [
+            (0.0, 2000.0, "alpha"),
+            (-800.0, 0.0, "g"),
+            (0.0, 710.0, "k"),  # expm1 overflows
+            (330.0, 100.0, "beta2"),  # exp(2 mu + s2) overflows
+            (300.0, 100.0, "beta2"),  # exp(2 mu + s2) * k overflows
+        ]:
+            with pytest.raises(DomainError, match=f"^{field} "):
+                derive_moments(LogNormalParams(mu, s2))
 
     def test_ordering_strict_when_spread(self):
         m = derive_moments(LogNormalParams(0.5, 0.8))

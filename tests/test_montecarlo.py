@@ -260,12 +260,6 @@ class TestRunGrid:
         assert cells[0].runs == 500
         assert resolve_runs(11) == 10**6
 
-    def test_grid_determinism(self):
-        cfg = GridConfig(
-            n_values=[2, 4], cv_values=[0.3], master_seed=77, runs_override=1000
-        )
-        assert run_grid(cfg) == run_grid(cfg)
-
     def test_budget_propagates(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "100")
         cfg = GridConfig(n_values=[10], cv_values=[0.5], runs_override=1000)
