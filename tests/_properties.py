@@ -1,4 +1,4 @@
-"""Randomized property checks, run by the acceptance gate (criterion c6).
+"""Randomized property checks shared by the standalone suite and the acceptance gate.
 
 Each check_* function runs one property on inputs generated from a seed, so a
 battery is just `for seed in range(100): check_x(seed)`.

@@ -17,6 +17,8 @@ from lnvar.oracle import (
     term_multiplicity,
 )
 
+from _properties import rel_diff
+
 LN2 = math.log(2.0)
 OMEGAS = (1.0, 1.1, 2.0, 5.0, 10.0)
 
@@ -57,6 +59,11 @@ class TestMultiplicity:
     def test_shared_denominator_at_four(self):
         assert term_multiplicity(TermKind.SHARED_DENOMINATOR, 4) == 24
 
+    @pytest.mark.parametrize("n", range(2, 51))
+    def test_totals(self, n):
+        total = sum(term_multiplicity(kind, n) for kind in TermKind)
+        assert total == (n * (n - 1)) ** 2
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_brute_force(self, n):
         enumerated = brute_force_class_counts(n)
@@ -80,6 +87,13 @@ class TestExactMoments:
         assert exact_mean_kn(2, 2.0) == 0.5
         assert exact_mean_kn(5, 1.0) == 0.0
         assert exact_mean_kn(3, 1.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_agreement_with_closed_forms(self, n, omega):
+        k = omega - 1.0
+        assert rel_diff(exact_var_kn(n, omega), var_k_n(n, k)) <= 1e-12
+        assert rel_diff(exact_mean_kn(n, omega), expected_k_n(n, k)) <= 1e-12
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("omega", OMEGAS + (1e300,))
