@@ -20,7 +20,8 @@ from typing import ContextManager, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceededError, DomainError, check_draw_budget, check_int, check_support
+from .errors import SUPPORT_HIGH, SUPPORT_LOW, BudgetExceededError, DomainError, check_draw_budget
+from .errors import check_int, check_support
 from .estimator import EstimateReport, SampleAccumulator, two_product
 from .model import LogNormalParams, params_from_gk, sample
 from .montecarlo import (
@@ -129,32 +130,31 @@ def _accumulate_stream(stream: TextIO, source: str) -> SampleAccumulator:
     lineno = 0
     while lines := stream.readlines(_BLOCK_CHARS):
         if lineno == 0:
-            # stdin arrives decoded, so a byte-order mark survives as U+FEFF
+            # a byte-order mark is decoded as U+FEFF, from stdin and files alike
             lines[0] = lines[0].removeprefix("\ufeff")
-        stripped = [raw.strip() for raw in lines]
+        values = []
         try:
-            acc.extend(list(map(float, [s for s in stripped if s and s[0] != "#"])))
-        except ValueError:  # from float, or a DomainError from extend
-            _raise_first_bad_line(stripped, lineno, source)
-            raise
+            for raw in lines:
+                try:
+                    x = float(raw)
+                except ValueError:
+                    # blank, a comment, or padded with what strip() removes and float() refuses
+                    line = raw.strip()
+                    if not line or line[0] == "#":
+                        continue
+                    try:
+                        x = float(line)
+                    except ValueError:
+                        raise DomainError(f"not a number: {line!r}") from None
+                if not SUPPORT_LOW < x <= SUPPORT_HIGH:
+                    check_support(np.array([x]))
+                values.append(x)
+        except DomainError as exc:
+            # an identical earlier line would have failed first, so index() finds this one
+            raise DomainError(f"{source}:{lineno + lines.index(raw) + 1}: {exc}") from None
+        acc.extend(values)
         lineno += len(lines)
     return acc
-
-
-def _raise_first_bad_line(stripped: list[str], offset: int, source: str) -> None:
-    """Re-check a rejected block, whose first line follows line `offset`, value by
-    value to name the line at fault."""
-    for lineno, line in enumerate(stripped, start=offset + 1):
-        if not line or line.startswith("#"):
-            continue
-        try:
-            x = float(line)
-        except ValueError:
-            raise DomainError(f"{source}:{lineno}: not a number: {line!r}") from None
-        try:
-            check_support(np.array([x]))
-        except DomainError as exc:
-            raise DomainError(f"{source}:{lineno}: {exc}") from None
 
 
 def _parse_list(text: str, flag: str, kind: type = float) -> list:
@@ -174,7 +174,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                 sys.stdin.reconfigure(errors="strict")
             acc = _accumulate_stream(sys.stdin, source)
         else:
-            with open(args.input, "r", encoding="utf-8-sig") as fh:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 acc = _accumulate_stream(fh, source)
     except UnicodeDecodeError:
         raise DomainError(f"{source}: not valid UTF-8") from None

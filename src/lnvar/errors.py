@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -62,8 +64,11 @@ def check_draw_budget(cost: int, request: str) -> None:
 
 
 def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> None:
-    """DomainError unless the integer value is at least minimum, and at most
-    maximum when one is given."""
+    """DomainError unless value is an integer (a numbers.Integral, or a Fraction
+    with denominator 1) that is at least minimum, and at most maximum when one
+    is given."""
+    if not (isinstance(value, numbers.Rational) and value.denominator == 1):
+        raise DomainError(f"{name} must be an integer, got {_brief(value)}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {_brief(value)}")
     if maximum is not None and value > maximum:
@@ -101,24 +106,19 @@ def _brief(value: float) -> str:
     return f"about {Decimal(value.numerator) / value.denominator:.6g}"
 
 
-def _off_support(xs: np.ndarray) -> np.ndarray:
-    """Mask of the values that are not positive finite floats with a finite reciprocal."""
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / xs
-    return ~((xs > 0.0) & np.isfinite(xs) & np.isfinite(inv))
+# The positive floats whose reciprocal is a float too: (SUPPORT_LOW, SUPPORT_HIGH].
+SUPPORT_LOW = 2.0**-1024  # 1 / SUPPORT_LOW overflows
+SUPPORT_HIGH = sys.float_info.max
 
 
 def check_support(xs: np.ndarray) -> None:
-    """DomainError unless every value of the nonempty float array xs is a positive
-    finite float whose reciprocal is finite too; the message names the first
-    value that is not.
-
-    The values that pass form one interval, so the smallest and largest decide
-    (a NaN makes both NaN), and only a failing array is scanned value by value.
-    """
-    if not _off_support(np.array([xs.min(), xs.max()])).any():
+    """DomainError unless every value of the nonempty float array xs lies in
+    (SUPPORT_LOW, SUPPORT_HIGH]; the message names the first value that does not.
+    Its smallest and largest values decide (a NaN makes both NaN), so only a
+    failing array is scanned value by value."""
+    if SUPPORT_LOW < xs.min() and xs.max() <= SUPPORT_HIGH:
         return
-    x = float(xs[_off_support(xs).argmax()])
+    x = float(xs[((xs > SUPPORT_LOW) & (xs <= SUPPORT_HIGH)).argmin()])
     if 0.0 < x < math.inf:
         raise DomainError(f"{x!r} is too close to 0: its reciprocal overflows a float")
     raise DomainError(f"lognormal support is positive reals, got {x}")

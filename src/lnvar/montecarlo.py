@@ -108,12 +108,13 @@ class GridConfig:
     mu_y: float = 0.0
 
     def __post_init__(self) -> None:
-        self.n_values = tuple(int(n) for n in self.n_values)
+        self.n_values = tuple(self.n_values)
         self.cv_values = tuple(self.cv_values)
         if not self.n_values or not self.cv_values:
             raise DomainError("n_values and cv_values must be nonempty")
         for n in self.n_values:
             check_int(n, "n", 2)
+        self.n_values = tuple(map(int, self.n_values))
         for cv in self.cv_values:
             _check_population(cv, self.mu_y)  # before float(cv), which overflows on 10**400
         self.cv_values = tuple(map(float, self.cv_values))

@@ -152,6 +152,25 @@ class TestEstimate:
         assert run_main(["estimate", str(marked)], capsys) == reference
         monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
         assert run_main(["estimate"], capsys) == reference
+        # only one mark is removed, from a file as from stdin
+        doubled = tmp_path / "doubled.txt"
+        doubled.write_text("\ufeff" + text, encoding="utf-8-sig")
+        code, _, err = run_main(["estimate", str(doubled)], capsys)
+        assert (code, err) == (EXIT_DATA, f"error: {doubled}:1: not a number: '\\ufeff# values'\n")
+
+    @pytest.mark.parametrize(
+        "spelled, plain",
+        [("\x1c1.5\x1f", "1.5"), ("\x1f\x1c 4\t\x1c", "4"), ("1_0", "10"), ("\u30002.5\u3000", "2.5")],
+        ids=["separators", "separators-and-whitespace", "underscore", "ideographic-space"],
+    )
+    def test_a_value_reads_as_float_reads_it(self, tmp_path, capsys, spelled, plain):
+        # float() refuses the separators "\x1c" to "\x1f", which strip() removes
+        spelled_data, plain_data = tmp_path / "spelled.txt", tmp_path / "plain.txt"
+        spelled_data.write_text(f"3\n{spelled}\n", encoding="utf-8")
+        plain_data.write_text(f"3\n{plain}\n", encoding="utf-8")
+        reference = run_main(["estimate", str(plain_data)], capsys)
+        assert reference[0] == EXIT_OK
+        assert run_main(["estimate", str(spelled_data)], capsys) == reference
 
     # a POSIX or C.UTF-8 locale gives stdin errors="surrogateescape"
     @pytest.mark.parametrize("source", ["file", "stdin", "stdin-surrogateescape"])
@@ -191,8 +210,10 @@ class TestEstimate:
             ("1e-170\n2e-170\n4e-170\n", 3.0 / 7.0),
             ("1e155\n2e155\n4e155\n", 3.0 / 7.0),
             ("5e-300\n1e-300\n", 8.0 / 9.0),
+            # the float after 2**-1024, the smallest whose reciprocal is a float
+            ("5.56268464626801e-309\n1e-290\n", 2.0),
         ],
-        ids=["underflow", "overflow", "underflow-pair"],
+        ids=["underflow", "overflow", "underflow-pair", "support-edge"],
     )
     def test_squares_outside_the_float_range_give_a_report(self, tmp_path, capsys, text, cv2):
         # the squares, or their sum, are not floats, but they are summed exactly
@@ -206,8 +227,27 @@ class TestEstimate:
         assert float(fields["cv2_conventional"]) == cv2
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
-    @pytest.mark.parametrize("bad", ["banana", "-4", "5e-324"])
-    def test_bad_line_past_first_block(self, tmp_path, capsys, monkeypatch, source, bad):
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            pytest.param(bad, reason, id=bad)
+            for bad, reason in [
+                ("banana", "not a number: 'banana'"),
+                ("-4", "lognormal support is positive reals, got -4.0"),
+                ("5e-324", "5e-324 is too close to 0: its reciprocal overflows a float"),
+                # 2**-1024, the largest float whose reciprocal overflows
+                (
+                    "5.562684646268003e-309",
+                    "5.562684646268003e-309 is too close to 0: its reciprocal overflows a float",
+                ),
+                ("nan", "lognormal support is positive reals, got nan"),
+                ("inf", "lognormal support is positive reals, got inf"),
+                ("0", "lognormal support is positive reals, got 0.0"),
+                ("-0", "lognormal support is positive reals, got -0.0"),
+            ]
+        ],
+    )
+    def test_bad_line_past_first_block(self, tmp_path, capsys, monkeypatch, source, bad, reason):
         rng = np.random.default_rng(8)
         lines = [repr(x) + "\n" for x in np.exp(rng.normal(0.0, 2.0, size=6000)).tolist()]
         lines[5000] = bad + "\n"
@@ -215,13 +255,13 @@ class TestEstimate:
         if source == "file":
             data = tmp_path / "data.txt"
             data.write_text("".join(lines))
-            argv = ["estimate", str(data)]
+            argv, name = ["estimate", str(data)], str(data)
         else:
             monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
-            argv = ["estimate"]
-        code, _, err = run_main(argv, capsys)
-        assert code == EXIT_DATA
-        assert ":5001:" in err
+            argv, name = ["estimate"], "<stdin>"
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"error: {name}:5001: {reason}\n"
 
     def test_multi_block_file_matches_exact_sums(self, tmp_path, capsys):
         values = np.exp(np.random.default_rng(12).normal(0.0, 2.0, size=10**5))

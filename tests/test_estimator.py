@@ -49,7 +49,7 @@ class TestAccumulate:
             acc.add(bad)
         assert acc.n == 0
 
-    @pytest.mark.parametrize("tiny", [5e-324, 1e-323])
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-323, 2.0**-1024])
     def test_rejects_overflowing_reciprocal(self, tiny):
         acc = SampleAccumulator.from_values([2.0])
         with warnings.catch_warnings():

@@ -3,13 +3,15 @@ import math
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lnvar import montecarlo
 from lnvar.errors import BudgetExceededError, DomainError
-from lnvar.estimator import kn_from_sums, large_sample_efficiency, sd_k_hat
+from lnvar.estimator import expected_k_n, kn_from_sums, large_sample_efficiency, sd_k_hat, var_k_hat
+from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import (
     BUDGET_ENV_VAR,
     GridConfig,
@@ -321,6 +323,26 @@ def test_sd_agreement_in_heavy_tail_band():
     # 1 < cv <= 2 converges slowly; the analytic sd must still match to 10%
     cell = run_cell(10, 2.0, 2 * 10**5, 17)
     assert rel_diff(cell.sd_khat, cell.pred_sd) <= 0.10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GridConfig(n_values=[2.7], cv_values=[0.5]),
+        lambda: resolve_runs(2.5),
+        lambda: expected_k_n(2.5, 1.0),
+        lambda: var_k_hat(2.5, 1.0),
+        lambda: run_cell(2.5, 0.5, 10, 1),
+        lambda: sample(params_from_gk(1.0, 0.5), 2.5, 1),
+        lambda: resolve_runs(Fraction(5, 2)),
+        lambda: resolve_runs(np.float64(3.0)),
+    ],
+    ids=["grid-n", "resolve-runs", "expected-k-n", "var-k-hat", "run-cell", "sample",
+         "fraction", "numpy-float"],
+)
+def test_a_count_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(DomainError, match="^n must be an integer, got "):
+        call()
 
 
 class TestEfficiencyCurve:
