@@ -170,8 +170,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     try:
         if args.input == "-":
             if hasattr(sys.stdin, "reconfigure"):
-                # a POSIX locale decodes stdin with surrogateescape
-                sys.stdin.reconfigure(errors="strict")
+                # as a file is read, whatever the locale's encoding and error handler
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             acc = _accumulate_stream(sys.stdin, source)
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -210,8 +210,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _sample_blocks(params: LogNormalParams, n: int, seed: int) -> Iterator[np.ndarray]:
     """sample(params, n, seed) in blocks of _WRITE_CHUNK values, within the draw budget."""
-    check_int(n, "n", 1)
-    check_int(seed, "seed", 0)
+    n = check_int(n, "n", 1)
+    seed = check_int(seed, "seed", 0)
     check_draw_budget(n, f"sample of {n} values")
     rng = np.random.default_rng(seed)
     for start in range(0, n, _WRITE_CHUNK):

@@ -57,22 +57,25 @@ def check_draw_budget(cost: int, request: str) -> None:
         budget = int(env)
     except ValueError:
         raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    check_int(budget, BUDGET_ENV_VAR, 0)
+    budget = check_int(budget, BUDGET_ENV_VAR, 0)
     if cost > budget:
         message = f"{request} needs {cost} draws, over the budget of {budget}"
         raise BudgetExceededError(f"{message}; raise {BUDGET_ENV_VAR} to allow it", cost, budget)
 
 
-def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> None:
-    """DomainError unless value is an integer (a numbers.Integral, or a Fraction
-    with denominator 1) that is at least minimum, and at most maximum when one
-    is given."""
-    if not (isinstance(value, numbers.Rational) and value.denominator == 1):
+def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> int:
+    """value as a Python int (a whole Fraction unchanged); DomainError unless it is an
+    integer (a numbers.Integral, numpy's included, or a Fraction with denominator 1)
+    that is at least minimum, and at most maximum when one is given."""
+    if isinstance(value, numbers.Integral):
+        value = int(value)  # a numpy integer's arithmetic wraps
+    elif not (isinstance(value, numbers.Rational) and value.denominator == 1):
         raise DomainError(f"{name} must be an integer, got {_brief(value)}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {_brief(value)}")
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be <= {maximum}, got {_brief(value)}")
+    return value
 
 
 def check_positive(value: float, name: str, maximum: float = math.inf) -> None:

@@ -333,7 +333,7 @@ class SampleAccumulator:
 
 def expected_k_n(n: int, k: float) -> float:
     """Expected value of the uncorrected relative ratio: (n-1)/n * k."""
-    check_int(n, "n", 2)
+    n = check_int(n, "n", 2)
     check_at_least(k, "k", maximum=sys.float_info.max)
     return (n - 1) / n * k
 
@@ -341,9 +341,7 @@ def expected_k_n(n: int, k: float) -> float:
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
     Exact when n is a Fraction; otherwise in floats, as var_k_hat is."""
-    check_int(n, "n", 2, sys.float_info.max)
-    if isinstance(n, np.integer):
-        n = int(n)  # n * n wraps in int64 from n = 3.04e9
+    n = check_int(n, "n", 2, sys.float_info.max)
     factor = 2 * (n - 1) / (n * n)  # a float unless n is a Fraction
     check_at_least(k, "k", maximum=sys.float_info.max if isinstance(factor, float) else math.inf)
     if isinstance(factor, float):
@@ -360,7 +358,7 @@ def sd_k_n(n: int, k: float) -> float:
 
 def var_k_hat(n: int, k: float) -> float:
     """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n)), in floats."""
-    check_int(n, "n", 2, sys.float_info.max)
+    n = check_int(n, "n", 2, sys.float_info.max)
     check_at_least(k, "k", maximum=sys.float_info.max)
     k = float(k)
     return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / n / 2.0)
@@ -392,7 +390,7 @@ def measurement_cost(n: int, mode: Literal["conventional", "collective"]) -> int
     Conventional per-replicate reading costs n; collectively measured
     arithmetic and harmonic means cost 2 (one reading each) regardless of n.
     """
-    check_int(n, "n", 2)
+    n = check_int(n, "n", 2)
     if mode == "conventional":
         return n
     if mode == "collective":

@@ -144,9 +144,9 @@ def sample(p: LogNormalParams, n: int, seed: int | np.random.Generator) -> np.nd
     mu_y = -740 with sigma2_y = 0) raises DomainError, without a numpy
     warning.
     """
-    check_int(n, "n", 1, MAX_FLOAT_ARRAY_LEN)
+    n = check_int(n, "n", 1, MAX_FLOAT_ARRAY_LEN)
     if not isinstance(seed, np.random.Generator):
-        check_int(seed, "seed", 0)
+        seed = check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     values = rng.normal(p.mu_y, math.sqrt(p.sigma2_y), size=n)
     with np.errstate(over="ignore", under="ignore"):

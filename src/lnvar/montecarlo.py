@@ -108,21 +108,15 @@ class GridConfig:
     mu_y: float = 0.0
 
     def __post_init__(self) -> None:
-        self.n_values = tuple(self.n_values)
-        self.cv_values = tuple(self.cv_values)
+        self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
+        self.cv_values = tuple(_check_population(cv, self.mu_y) for cv in self.cv_values)
         if not self.n_values or not self.cv_values:
             raise DomainError("n_values and cv_values must be nonempty")
-        for n in self.n_values:
-            check_int(n, "n", 2)
-        self.n_values = tuple(map(int, self.n_values))
-        for cv in self.cv_values:
-            _check_population(cv, self.mu_y)  # before float(cv), which overflows on 10**400
-        self.cv_values = tuple(map(float, self.cv_values))
-        check_int(self.master_seed, "master_seed", 0)
+        self.master_seed = check_int(self.master_seed, "master_seed", 0)
         if self.runs_override is not None:
-            check_int(self.runs_override, "runs_override", 2)
+            self.runs_override = check_int(self.runs_override, "runs_override", 2)
         if self.runs_cap is not None:
-            check_int(self.runs_cap, "runs_cap", 2)
+            self.runs_cap = check_int(self.runs_cap, "runs_cap", 2)
 
     @classmethod
     def default(cls, master_seed: int = DEFAULT_MASTER_SEED) -> "GridConfig":
@@ -140,13 +134,13 @@ def resolve_runs(
     n: int, runs_override: Optional[int] = None, runs_cap: Optional[int] = None
 ) -> int:
     """Runs for a sample size n under the default rule, a cap, or an override."""
-    check_int(n, "n", 2)
-    if runs_override is not None:
-        return runs_override
-    runs = RUNS_NUMERATOR // (n - 1)
+    n = check_int(n, "n", 2)
     if runs_cap is not None:
-        runs = min(runs, runs_cap)
-    return runs
+        runs_cap = check_int(runs_cap, "runs_cap", 2)
+    if runs_override is not None:
+        return check_int(runs_override, "runs_override", 2)
+    runs = RUNS_NUMERATOR // (n - 1)
+    return runs if runs_cap is None else min(runs, runs_cap)
 
 
 def derive_cell_seed(master_seed: int, cell_index: int) -> int:
@@ -156,14 +150,17 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     mixing that backs SeedSequence.spawn, so cell streams never overlap
     and a cell is reproducible from the CSV row alone.
     """
+    master_seed = check_int(master_seed, "master_seed", 0)
+    cell_index = check_int(cell_index, "cell_index", 0)
     ss = np.random.SeedSequence(master_seed, spawn_key=(cell_index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_population(cv: float, mu_y: float) -> None:
-    """DomainError unless cv^2 and exp(mu_y) are positive floats."""
-    check_positive(cv, "cv", _CV_MAX)
+def _check_population(cv: float, mu_y: float) -> float:
+    """cv as a float; DomainError unless cv^2 and exp(mu_y) are positive floats."""
+    check_positive(cv, "cv", _CV_MAX)  # before float(cv), which overflows on 10**400
     check_at_least(mu_y, "mu_y", _MU_Y_MIN, _MU_Y_MAX)
+    return float(cv)
 
 
 def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> SimulationCell:
@@ -176,10 +173,10 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
     BudgetExceededError.  A run whose draws or estimate leave the float range
     (say mu_y = 705 with cv = 3) raises DomainError, without a numpy warning.
     """
-    check_int(n, "n", 2)
-    _check_population(cv, mu_y)
-    check_int(runs, "runs", 2)
-    check_int(seed, "seed", 0)
+    n = check_int(n, "n", 2)
+    cv = _check_population(cv, mu_y)
+    runs = check_int(runs, "runs", 2)
+    seed = check_int(seed, "seed", 0)
 
     check_draw_budget(runs * n, f"cell (n={n}, runs={runs})")
     if cv > 2.0:
@@ -295,7 +292,7 @@ def efficiency_curve(
         raise DomainError(
             f"need 0 < sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]"
         )
-    check_int(points, "points", 2, MAX_FLOAT_ARRAY_LEN)
+    points = check_int(points, "points", 2, MAX_FLOAT_ARRAY_LEN)
     if spacing == "log":
         grid = np.geomspace(sigma2_min, sigma2_max, points)
     elif spacing == "linear":

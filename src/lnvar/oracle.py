@@ -78,17 +78,18 @@ def _exact(x: float) -> Fraction:
 
 def covariance_term(kind: TermKind, omega: float) -> float:
     """Covariance of one ratio-pair class as a polynomial in omega; exact when
-    omega is a Fraction."""
+    omega is a Fraction.  Each is written on d = omega - 1, so that a float omega
+    neither cancels near 1 nor reads inf - inf where omega**4 overflows."""
     check_at_least(omega, "omega", 1.0)
-    w2 = omega * omega
+    w2, d = omega * omega, omega - 1
     if kind is TermKind.SELF_PAIR:
-        return w2 * w2 - w2
+        return w2 * d * (omega + 1)
     if kind is TermKind.RECIPROCAL_PAIR:
-        return 1 - w2
+        return (1 - omega) * (1 + omega)
     if kind in (TermKind.SHARED_DENOMINATOR, TermKind.SHARED_NUMERATOR):
-        return w2 * omega - w2
+        return w2 * d
     if kind in (TermKind.NUM_IS_OTHER_DEN, TermKind.DEN_IS_OTHER_NUM):
-        return omega - w2
+        return omega * (1 - omega)
     return 0  # DISJOINT
 
 
@@ -98,7 +99,7 @@ def term_multiplicity(kind: TermKind, n: int) -> int:
     Classes needing more distinct indices than n provides come out as 0,
     so n = 2 and n = 3 assemble correctly with no special casing.
     """
-    check_int(n, "n", 2)
+    n = check_int(n, "n", 2)
     pairs = n * (n - 1)
     if kind in (TermKind.SELF_PAIR, TermKind.RECIPROCAL_PAIR):
         return pairs
@@ -114,7 +115,7 @@ def exact_mean_kn(n: int, omega: float) -> Fraction:
     The double sum contributes n unit terms plus n(n-1) ratio terms each
     with expectation omega: (1/n^2)(n + n(n-1) omega) - 1.
     """
-    check_int(n, "n", 2)
+    n = check_int(n, "n", 2)
     check_at_least(omega, "omega", 1.0)
     return (n + n * (n - 1) * _exact(omega)) / (n * n) - 1
 
@@ -122,6 +123,7 @@ def exact_mean_kn(n: int, omega: float) -> Fraction:
 def exact_var_kn(n: int, omega: float) -> Fraction:
     """Variance of the uncorrected relative ratio by full class enumeration, as
     an exact rational at the exact value of omega."""
+    n = check_int(n, "n", 2)
     check_at_least(omega, "omega", 1.0)
     w = _exact(omega)
     return sum(term_multiplicity(kind, n) * covariance_term(kind, w) for kind in TermKind) / n**4
@@ -149,7 +151,7 @@ def brute_force_class_counts(n: int) -> dict[TermKind, int]:
 
     O(n^4); meant for validating term_multiplicity at small n.
     """
-    check_int(n, "n", 2)
+    n = check_int(n, "n", 2)
     counts = {kind: 0 for kind in TermKind}
     pairs = list(itertools.permutations(range(n), 2))
     for i, j in pairs:
@@ -191,7 +193,7 @@ def run_verification(
 ) -> VerificationReport:
     """Cross-check the enumeration oracle against the closed-form predictions,
     both evaluated exactly at n and at the exact value of each omega."""
-    check_int(max_n, "max_n", 2)
+    max_n = check_int(max_n, "max_n", 2)
     omegas = list(omegas)
     if not omegas:
         raise DomainError("omegas must be nonempty")

@@ -152,6 +152,9 @@ class TestEstimate:
         assert run_main(["estimate", str(marked)], capsys) == reference
         monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + text))
         assert run_main(["estimate"], capsys) == reference
+        for encoding in ("utf-8", "latin-1"):  # stdin is read as UTF-8 whatever the locale's encoding
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes()), encoding))
+            assert run_main(["estimate"], capsys) == reference
         # only one mark is removed, from a file as from stdin
         doubled = tmp_path / "doubled.txt"
         doubled.write_text("\ufeff" + text, encoding="utf-8-sig")
@@ -172,23 +175,19 @@ class TestEstimate:
         assert reference[0] == EXIT_OK
         assert run_main(["estimate", str(spelled_data)], capsys) == reference
 
-    # a POSIX or C.UTF-8 locale gives stdin errors="surrogateescape"
+    # a POSIX or C.UTF-8 locale gives stdin errors="surrogateescape", a latin-1 locale another codec
     @pytest.mark.parametrize("source", ["file", "stdin", "stdin-surrogateescape"])
     def test_invalid_utf8_is_a_data_error(self, tmp_path, capsys, monkeypatch, source):
         raw = b"1\n\xff\n4\n"
         if source == "file":
             data = tmp_path / "data.txt"
             data.write_bytes(raw)
-            argv, name = ["estimate", str(data)], str(data)
-        else:
-            errors = "surrogateescape" if source == "stdin-surrogateescape" else "strict"
-            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
-            monkeypatch.setattr(sys, "stdin", stdin)
-            argv, name = ["estimate"], "<stdin>"
-        code, out, err = run_main(argv, capsys)
-        assert code == EXIT_DATA
-        assert out == ""
-        assert err == f"error: {name}: not valid UTF-8\n"
+            assert run_main(["estimate", str(data)], capsys) == (EXIT_DATA, "", f"error: {data}: not valid UTF-8\n")
+            return
+        errors = "surrogateescape" if source == "stdin-surrogateescape" else "strict"
+        for encoding in ("utf-8", "latin-1"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding, errors))
+            assert run_main(["estimate"], capsys) == (EXIT_DATA, "", "error: <stdin>: not valid UTF-8\n")
 
     @pytest.mark.parametrize(
         "text, quantity",

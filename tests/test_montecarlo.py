@@ -10,7 +10,8 @@ import pytest
 
 from lnvar import montecarlo
 from lnvar.errors import BudgetExceededError, DomainError
-from lnvar.estimator import expected_k_n, kn_from_sums, large_sample_efficiency, sd_k_hat, var_k_hat
+from lnvar.estimator import expected_k_n, kn_from_sums, large_sample_efficiency, measurement_cost
+from lnvar.estimator import sd_k_hat, var_k_hat
 from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import (
     BUDGET_ENV_VAR,
@@ -23,6 +24,7 @@ from lnvar.montecarlo import (
     run_cell,
     run_grid,
 )
+from lnvar.oracle import TermKind, exact_mean_kn, exact_var_kn, term_multiplicity
 
 from _properties import rel_diff
 
@@ -326,23 +328,52 @@ def test_sd_agreement_in_heavy_tail_band():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: GridConfig(n_values=[2.7], cv_values=[0.5]),
-        lambda: resolve_runs(2.5),
-        lambda: expected_k_n(2.5, 1.0),
-        lambda: var_k_hat(2.5, 1.0),
-        lambda: run_cell(2.5, 0.5, 10, 1),
-        lambda: sample(params_from_gk(1.0, 0.5), 2.5, 1),
-        lambda: resolve_runs(Fraction(5, 2)),
-        lambda: resolve_runs(np.float64(3.0)),
+        (lambda: GridConfig(n_values=[2.7], cv_values=[0.5]), "n must be an integer"),
+        (lambda: resolve_runs(2.5), "n must be an integer"),
+        (lambda: expected_k_n(2.5, 1.0), "n must be an integer"),
+        (lambda: var_k_hat(2.5, 1.0), "n must be an integer"),
+        (lambda: run_cell(2.5, 0.5, 10, 1), "n must be an integer"),
+        (lambda: sample(params_from_gk(1.0, 0.5), 2.5, 1), "n must be an integer"),
+        (lambda: resolve_runs(Fraction(5, 2)), "n must be an integer"),
+        (lambda: resolve_runs(np.float64(3.0)), "n must be an integer"),
+        (lambda: resolve_runs(10, runs_override=2.5), "runs_override must be an integer"),
+        (lambda: resolve_runs(10, runs_override=1), "runs_override must be >= 2"),
+        (lambda: resolve_runs(10, runs_cap=0), "runs_cap must be >= 2"),
+        (lambda: derive_cell_seed(1.5, 0), "master_seed must be an integer"),
+        (lambda: derive_cell_seed(0, 1.5), "cell_index must be an integer"),
+        (lambda: derive_cell_seed(-1, 0), "master_seed must be >= 0"),
     ],
     ids=["grid-n", "resolve-runs", "expected-k-n", "var-k-hat", "run-cell", "sample",
-         "fraction", "numpy-float"],
+         "fraction", "numpy-float", "runs-override", "runs-override-below-2", "runs-cap-below-2",
+         "master-seed", "cell-index", "negative-master-seed"],
 )
-def test_a_count_that_is_not_an_integer_is_refused(call):
-    with pytest.raises(DomainError, match="^n must be an integer, got "):
+def test_a_count_that_is_not_an_integer_is_refused(call, message):
+    # nor one below its minimum; the message names the argument
+    with pytest.raises(DomainError, match=f"^{message}, got "):
         call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_a_numpy_count_acts_as_the_equal_python_int(kind):
+    # in 64 bits n**4 wraps from n = 55,109 and runs * n at 2**64, with only a RuntimeWarning
+    n = kind(10**5)
+    assert term_multiplicity(TermKind.DISJOINT, n) == 99994000109999400000
+    assert exact_var_kn(n, 2.0) == exact_var_kn(10**5, 2.0)
+    assert exact_mean_kn(n, 2.0) == exact_mean_kn(10**5, 2.0)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        run_cell(kind(4), 0.5, kind(2**62), 1)
+    assert exc_info.value.cost == 2**64
+    assert type(measurement_cost(kind(7), "conventional")) is int
+    params = params_from_gk(1.0, 0.5)
+    assert np.array_equal(sample(params, kind(7), kind(7)), sample(params, 7, 7))
+    cfg = GridConfig(
+        n_values=[kind(2)], cv_values=[np.float64(0.5)], master_seed=kind(3),
+        runs_override=kind(10), runs_cap=kind(20),
+    )
+    stored = (*cfg.n_values, *cfg.cv_values, cfg.master_seed, cfg.runs_override, cfg.runs_cap)
+    assert [type(v) for v in stored] == [int, float, int, int, int]
 
 
 class TestEfficiencyCurve:
