@@ -64,13 +64,12 @@ def check_draw_budget(cost: int, request: str) -> None:
 
 
 def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -> int:
-    """value as a Python int (a whole Fraction unchanged); DomainError unless it is an
-    integer (a numbers.Integral, numpy's included, or a Fraction with denominator 1)
-    that is at least minimum, and at most maximum when one is given."""
-    if isinstance(value, numbers.Integral):
-        value = int(value)  # a numpy integer's arithmetic wraps
-    elif not (isinstance(value, numbers.Rational) and value.denominator == 1):
+    """value as a Python int; DomainError unless it is an integer (a numbers.Rational
+    with denominator 1: a numpy integer or a whole Fraction too) that is at least
+    minimum, and at most maximum when one is given."""
+    if not (isinstance(value, numbers.Rational) and value.denominator == 1):
         raise DomainError(f"{name} must be an integer, got {_brief(value)}")
+    value = int(value)  # a numpy integer's arithmetic wraps, and numpy refuses a Fraction
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {_brief(value)}")
     if maximum is not None and value > maximum:
@@ -78,19 +77,19 @@ def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -
     return value
 
 
-def check_positive(value: float, name: str, maximum: float = math.inf) -> None:
-    """DomainError unless 0 < value < inf, and value <= maximum when one is given;
-    ints and Fractions of any size compare exactly."""
+def check_positive(value: float, name: str, maximum: float = sys.float_info.max) -> None:
+    """DomainError unless 0 < value <= maximum, by default the largest float; ints and
+    Fractions of any size compare exactly."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {_brief(value)}")
     _check_at_most(value, name, maximum)
 
 
 def check_at_least(
-    value: float, name: str, minimum: float = 0.0, maximum: float = math.inf
+    value: float, name: str, minimum: float = 0.0, maximum: float = sys.float_info.max
 ) -> None:
-    """DomainError unless minimum <= value < inf (by default, non-negative), and
-    value <= maximum when one is given; compares like check_positive."""
+    """DomainError unless minimum <= value <= maximum (by default, non-negative and at
+    most the largest float); compares like check_positive."""
     if not minimum <= value < math.inf:
         raise DomainError(f"{name} must be >= {minimum:g} and finite, got {_brief(value)}")
     _check_at_most(value, name, maximum)

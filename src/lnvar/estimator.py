@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -332,34 +333,33 @@ class SampleAccumulator:
 
 
 def expected_k_n(n: int, k: float) -> float:
-    """Expected value of the uncorrected relative ratio: (n-1)/n * k."""
+    """Expected value of the uncorrected relative ratio: (n-1)/n * k; exact when k is a Fraction."""
     n = check_int(n, "n", 2)
-    check_at_least(k, "k", maximum=sys.float_info.max)
-    return (n - 1) / n * k
+    check_at_least(k, "k")
+    return Fraction(n - 1, n) * (k if isinstance(k, Fraction) else float(k))
 
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
-    Exact when n is a Fraction; otherwise in floats, as var_k_hat is."""
+    Exact when k is a Fraction; otherwise in floats, as var_k_hat is."""
     n = check_int(n, "n", 2, sys.float_info.max)
-    factor = 2 * (n - 1) / (n * n)  # a float unless n is a Fraction
-    check_at_least(k, "k", maximum=sys.float_info.max if isinstance(factor, float) else math.inf)
-    if isinstance(factor, float):
-        k = float(k)
-    return factor * k * k * (1 + k + k * k / n / 2)
+    check_at_least(k, "k")
+    k = k if isinstance(k, Fraction) else float(k)
+    # a Fraction times a float k is float(Fraction) * k, a correctly rounded int / int
+    return Fraction(2 * (n - 1), n * n) * k * k * (1 + k + k * k / n / 2)
 
 
 def sd_k_n(n: int, k: float) -> float:
     try:
         return math.sqrt(var_k_n(n, k))
-    except OverflowError:  # an exact variance, from a Fraction n, past the float range
+    except OverflowError:  # an exact variance, from a Fraction k, past the float range
         raise DomainError("var_k_n overflows a float") from None
 
 
 def var_k_hat(n: int, k: float) -> float:
     """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n)), in floats."""
     n = check_int(n, "n", 2, sys.float_info.max)
-    check_at_least(k, "k", maximum=sys.float_info.max)
+    check_at_least(k, "k")
     k = float(k)
     return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / n / 2.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,7 @@ class LogNormalParams:
     sigma2_y: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu_y):
-            raise DomainError(f"mu_y must be finite, got {self.mu_y}")
+        check_at_least(self.mu_y, "mu_y", -sys.float_info.max)
         check_at_least(self.sigma2_y, "sigma2_y")
 
 

@@ -288,10 +288,10 @@ def efficiency_curve(
     spacing: Literal["log", "linear"] = "log",
 ) -> list[tuple[float, float]]:
     """Large-sample efficiency sampled on a grid of log-space variances."""
-    if not 0.0 < sigma2_min < sigma2_max < math.inf:
-        raise DomainError(
-            f"need 0 < sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]"
-        )
+    check_positive(sigma2_min, "sigma2_min")
+    check_positive(sigma2_max, "sigma2_max")
+    if not sigma2_min < sigma2_max:
+        raise DomainError(f"need sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]")
     points = check_int(points, "points", 2, MAX_FLOAT_ARRAY_LEN)
     if spacing == "log":
         grid = np.geomspace(sigma2_min, sigma2_max, points)

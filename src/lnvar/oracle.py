@@ -33,13 +33,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from fractions import Fraction
+from typing import Iterable, Optional
 
 from .errors import DomainError, check_at_least, check_int
 from .estimator import expected_k_n, var_k_n
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "TermKind",
@@ -67,13 +65,6 @@ class TermKind(enum.Enum):
     DEN_IS_OTHER_NUM = "den_is_other_num"
     SHARED_NUMERATOR = "shared_numerator"
     DISJOINT = "disjoint"
-
-
-def _exact(x: float) -> Fraction:
-    """The exact rational value of x; importing fractions here spares `import lnvar`."""
-    from fractions import Fraction
-
-    return Fraction(x)
 
 
 def covariance_term(kind: TermKind, omega: float) -> float:
@@ -117,7 +108,7 @@ def exact_mean_kn(n: int, omega: float) -> Fraction:
     """
     n = check_int(n, "n", 2)
     check_at_least(omega, "omega", 1.0)
-    return (n + n * (n - 1) * _exact(omega)) / (n * n) - 1
+    return (n + n * (n - 1) * Fraction(omega)) / (n * n) - 1
 
 
 def exact_var_kn(n: int, omega: float) -> Fraction:
@@ -125,7 +116,7 @@ def exact_var_kn(n: int, omega: float) -> Fraction:
     an exact rational at the exact value of omega."""
     n = check_int(n, "n", 2)
     check_at_least(omega, "omega", 1.0)
-    w = _exact(omega)
+    w = Fraction(omega)
     return sum(term_multiplicity(kind, n) * covariance_term(kind, w) for kind in TermKind) / n**4
 
 
@@ -230,7 +221,7 @@ def run_verification(
             for omega in omegas:
                 group.checks += 1
                 got = enumerated_fn(n, omega)
-                want = closed_form(_exact(n), _exact(omega) - 1)
+                want = closed_form(n, Fraction(omega) - 1)
                 if got != want:
                     group.failures.append(
                         f"n={n} omega={omega:g}: enumeration {noun} {got} vs closed form {want}"

@@ -709,15 +709,27 @@ class TestTopLevel:
         assert main(["--version"]) == EXIT_OK
 
     @staticmethod
-    def run_console(*argv):
+    def run_python(*args):
         # the child imports the lnvar under test, installed or not
         paths = [os.path.dirname(os.path.dirname(lnvar.__file__)), os.environ.get("PYTHONPATH")]
         return subprocess.run(
-            [sys.executable, "-m", "lnvar", *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         )
+
+    def run_console(self, *argv):
+        return self.run_python("-m", "lnvar", *argv)
+
+    def test_import_loads_neither_scipy_nor_the_thread_pool(self):
+        # the library depends only on numpy, and run_grid imports its pool when it runs
+        proc = self.run_python("-c", "import sys, lnvar; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "lnvar.oracle" in loaded
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        assert "concurrent.futures" not in loaded
 
     def test_console_entry(self):
         proc = self.run_console("verify", "--max-n", "3")

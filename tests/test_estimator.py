@@ -535,8 +535,8 @@ class TestPredictions:
         assert sd_k_n(2, 1.0) == math.sqrt(1.125)
 
     def test_var_k_n_keeps_float_bytes(self):
-        # the int literals that make var_k_n exact on Fractions round as the
-        # float literals did, for n below 2**26
+        # the Fraction factor that makes var_k_n exact on a Fraction k rounds, times a
+        # float k, as the float literals did, for n below 2**26
         rng = np.random.default_rng(2015)
         ns = np.exp(rng.uniform(math.log(2), 26 * math.log(2), 10_000)).astype(np.int64)
         ks = np.exp(rng.uniform(-300.0, 170.0, 10_000))
@@ -572,8 +572,8 @@ class TestPredictions:
         assert rel_diff(var_k_hat(n, k), (n / (n - 1)) ** 2 * var_k_n(n, k)) <= 1e-12
 
     def test_var_k_n_is_exact_on_fractions_past_the_float_range(self):
-        k = Fraction(10) ** 400
-        assert var_k_n(Fraction(3), k) == Fraction(4, 9) * k * k * (1 + k + k * k / 6)
+        k = Fraction(10) ** 300
+        assert var_k_n(3, k) == Fraction(4, 9) * k * k * (1 + k + k * k / 6)
 
     def test_k_past_the_float_range_is_a_domain_error_naming_k(self):
         big = Fraction(10) ** 400
@@ -589,7 +589,10 @@ class TestPredictions:
             assert len(str(exc.value)) <= 200  # k is named without all of its 401 digits
         # a k inside the float range whose variance is not reads inf, as a float k does
         assert var_k_hat(2, 10**300) == sd_k_hat(2, 10**300) == sd_k_hat(2, 1e300) == math.inf
-        assert var_k_n(2, 10**300) == sd_k_n(2, Fraction(10) ** 300) == math.inf
+        assert var_k_n(2, 10**300) == math.inf
+        # a Fraction k inside the float range gives an exact variance, past it here
+        with pytest.raises(DomainError, match="^var_k_n overflows a float$"):
+            sd_k_n(2, Fraction(10) ** 300)
 
     def test_n_past_the_float_range_is_a_domain_error_naming_n(self):
         for fn in (var_k_n, sd_k_n, var_k_hat, sd_k_hat):
@@ -611,9 +614,9 @@ class TestPredictions:
 
     def test_exact_variance_past_the_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^var_k_n overflows a float$"):
-            sd_k_n(Fraction(3), Fraction(10) ** 200)
+            sd_k_n(3, Fraction(10) ** 200)
         k = Fraction(10) ** 50
-        assert sd_k_n(Fraction(3), k) == math.sqrt(var_k_n(Fraction(3), k)) < math.inf
+        assert sd_k_n(3, k) == math.sqrt(var_k_n(3, k)) < math.inf
 
     def test_domain_errors(self):
         for fn in (expected_k_n, var_k_n, var_k_hat):

@@ -25,7 +25,17 @@ class TestParams:
         with pytest.raises(DomainError):
             LogNormalParams(0.0, -0.1)
 
-    @pytest.mark.parametrize("mu,s2", [(math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "mu,s2",
+        [
+            (math.nan, 1.0),
+            (0.0, math.inf),
+            (math.inf, 1.0),
+            # ints past the float range, where math.isfinite and float() overflow
+            pytest.param(10**400, 1.0, id="int-mu-past-float-range"),
+            pytest.param(0.0, 10**400, id="int-s2-past-float-range"),
+        ],
+    )
     def test_rejects_non_finite(self, mu, s2):
         with pytest.raises(DomainError):
             LogNormalParams(mu, s2)
@@ -105,6 +115,8 @@ class TestParamsFromGk:
             params_from_gk(-2.0, 1.0)
         with pytest.raises(DomainError):
             params_from_gk(1.0, -0.5)
+        with pytest.raises(DomainError, match="^k must be <= 1.7976931348623157e[+]308"):
+            params_from_gk(1.0, 10**400)
 
 
 class TestPdf:
@@ -134,6 +146,8 @@ class TestPdf:
             pdf(0.0, p)
         with pytest.raises(DomainError):
             pdf(-1.0, p)
+        with pytest.raises(DomainError, match="^x must be <= 1.7976931348623157e[+]308"):
+            pdf(10**400, p)
         with pytest.raises(DegenerateDistributionError):
             pdf(1.0, LogNormalParams(0.0, 0.0))
 

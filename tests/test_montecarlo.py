@@ -24,7 +24,8 @@ from lnvar.montecarlo import (
     run_cell,
     run_grid,
 )
-from lnvar.oracle import TermKind, exact_mean_kn, exact_var_kn, term_multiplicity
+from lnvar.oracle import TermKind, brute_force_class_counts, exact_mean_kn, exact_var_kn
+from lnvar.oracle import run_verification, term_multiplicity
 
 from _properties import rel_diff
 
@@ -355,16 +356,21 @@ def test_a_count_that_is_not_an_integer_is_refused(call, message):
         call()
 
 
-@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, Fraction])
 def test_a_numpy_count_acts_as_the_equal_python_int(kind):
-    # in 64 bits n**4 wraps from n = 55,109 and runs * n at 2**64, with only a RuntimeWarning
+    # in 64 bits n**4 wraps from n = 55,109 and runs * n at 2**64, with only a RuntimeWarning;
+    # a whole Fraction reaches numpy and range as an int too
     n = kind(10**5)
-    assert term_multiplicity(TermKind.DISJOINT, n) == 99994000109999400000
+    multiplicity = term_multiplicity(TermKind.DISJOINT, n)
+    assert type(multiplicity) is int and multiplicity == 99994000109999400000
     assert exact_var_kn(n, 2.0) == exact_var_kn(10**5, 2.0)
     assert exact_mean_kn(n, 2.0) == exact_mean_kn(10**5, 2.0)
     with pytest.raises(BudgetExceededError) as exc_info:
         run_cell(kind(4), 0.5, kind(2**62), 1)
     assert exc_info.value.cost == 2**64
+    cell = run_cell(kind(2), 0.5, kind(10), kind(1))
+    assert cell == run_cell(2, 0.5, 10, 1)
+    assert [type(v) for v in (cell.n, cell.runs, cell.seed)] == [int] * 3
     assert type(measurement_cost(kind(7), "conventional")) is int
     params = params_from_gk(1.0, 0.5)
     assert np.array_equal(sample(params, kind(7), kind(7)), sample(params, 7, 7))
@@ -374,6 +380,10 @@ def test_a_numpy_count_acts_as_the_equal_python_int(kind):
     )
     stored = (*cfg.n_values, *cfg.cv_values, cfg.master_seed, cfg.runs_override, cfg.runs_cap)
     assert [type(v) for v in stored] == [int, float, int, int, int]
+    assert efficiency_curve(1.0, 2.0, kind(3)) == efficiency_curve(1.0, 2.0, 3)
+    assert derive_cell_seed(kind(3), kind(0)) == derive_cell_seed(3, 0)
+    assert brute_force_class_counts(kind(3)) == brute_force_class_counts(3)
+    assert run_verification(max_n=kind(3)) == run_verification(max_n=3)
 
 
 class TestEfficiencyCurve:
@@ -408,6 +418,8 @@ class TestEfficiencyCurve:
             efficiency_curve(0.1, 1.0, 1)
         with pytest.raises(DomainError):
             efficiency_curve(0.1, 1.0, 10, "cubic")
+        with pytest.raises(DomainError, match="^sigma2_max must be <= 1.7976931348623157e[+]308"):
+            efficiency_curve(1, 10**400, 3)
 
 
 def test_cell_is_plain_record():

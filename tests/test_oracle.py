@@ -127,9 +127,10 @@ class TestExactMoments:
     def test_exact_rationals_equal_closed_forms(self, n, omega):
         k = Fraction(omega) - 1
         var, mean = exact_var_kn(n, omega), exact_mean_kn(n, omega)
-        assert type(var) is Fraction and type(mean) is Fraction
-        assert var == var_k_n(Fraction(n), k)
-        assert mean == expected_k_n(Fraction(n), k)
+        closed_var, closed_mean = var_k_n(n, k), expected_k_n(n, k)
+        assert [type(v) for v in (var, mean, closed_var, closed_mean)] == [Fraction] * 4
+        assert var == closed_var
+        assert mean == closed_mean
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
