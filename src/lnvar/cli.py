@@ -98,8 +98,10 @@ def _report_text(report: EstimateReport) -> str:
 
 
 def _output(path: str) -> ContextManager[TextIO]:
-    """stdout for "-", else the file at path, opened for ASCII text."""
+    """stdout for "-" (OSError when it is closed), else the file at path, opened for ASCII text."""
     if path == "-":
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="ascii", newline="")
 
@@ -120,9 +122,7 @@ def _emit_manifest(output_path: str, command: str, config: dict, master_seed: Op
     if output_path == "-":
         sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
-        with open(output_path + ".manifest.json", "w", encoding="ascii") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(output_path + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _accumulate_stream(stream: TextIO, source: str) -> SampleAccumulator:
@@ -169,6 +169,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     source = "<stdin>" if args.input == "-" else args.input
     try:
         if args.input == "-":
+            if sys.stdin is None:
+                raise OSError("standard input is closed")
             if hasattr(sys.stdin, "reconfigure"):
                 # as a file is read, whatever the locale's encoding and error handler
                 sys.stdin.reconfigure(encoding="utf-8", errors="strict")
@@ -180,7 +182,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise DomainError(f"{source}: not valid UTF-8") from None
     report = acc.report()
     text = _to_csv(EstimateReport, [report]) if args.format == "csv" else _report_text(report)
-    sys.stdout.write(text)
+    _write_text("-", text)
     return EXIT_OK
 
 
@@ -320,9 +322,10 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(max_n=args.max_n, omegas=_parse_list(args.omega, "--omega"))
-    for group in report.groups:
-        status = "PASS" if group.passed else "FAIL"
-        print(f"{group.label:<42} {group.checks:>4} checks  {status}")
+    with _output("-") as out:
+        for group in report.groups:
+            status = "PASS" if group.passed else "FAIL"
+            out.write(f"{group.label:<42} {group.checks:>4} checks  {status}\n")
     if not report.passed:
         print(f"first mismatch: {report.first_failure}", file=sys.stderr)
         return EXIT_VERIFY

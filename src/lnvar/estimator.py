@@ -11,7 +11,8 @@ orders of magnitude, and naive accumulation visibly biases the harmonic mean
 once samples reach the millions.
 
 ExactSum is the one summation scheme of the package: the simulator reduces
-its per-run estimates with it too.
+its per-run estimates with it too.  Its exact() reading, a Fraction, serves
+each unbiased variance, cv2_conventional here and the simulator's sd_khat.
 
 Alongside the data-facing estimators, this module holds the closed-form
 population predictions for the relative ratio: its expected value, its
@@ -117,6 +118,10 @@ class ExactSum:
     def __add__(self, other: "ExactSum") -> "ExactSum":
         return ExactSum(self._scaled + other._scaled)
 
+    def exact(self) -> Fraction:
+        """The sum as an exact rational."""
+        return Fraction(self._scaled, _SCALE)
+
     def value(self, quantity: str = "sum") -> float:
         """The sum, correctly rounded; OverflowError naming quantity beyond the float range."""
         try:
@@ -146,13 +151,6 @@ def _finite(value: float, quantity: str) -> float:
     if not math.isfinite(value):
         raise OverflowError(f"{quantity} overflows a float")
     return value
-
-
-def _scatter(count: int, sum_x: ExactSum, sum_x2: ExactSum, centre: float = 0.0) -> int:
-    """count * sum_x2 - (sum_x - count * centre)**2 times 2**(2 * _SCALE_BITS), exactly."""
-    p, q = centre.as_integer_ratio()  # q is a power of two, at most 2**1074
-    d = sum_x._scaled - count * ((p << _SCALE_BITS) // q)
-    return (count * sum_x2._scaled << _SCALE_BITS) - d * d
 
 
 def kn_from_sums(
@@ -205,9 +203,7 @@ class SampleAccumulator:
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "SampleAccumulator":
         acc = cls()
-        if not isinstance(values, np.ndarray):
-            values = np.fromiter(values, dtype=np.float64)
-        acc.extend(values)
+        acc.extend(values if isinstance(values, np.ndarray) else list(values))
         return acc
 
     def __repr__(self) -> str:
@@ -231,20 +227,19 @@ class SampleAccumulator:
         except OverflowError:
             return math.inf
 
-    def add(self, x: float) -> None:
-        """Fold one observation in; rejects anything off the positive reals,
-        or too close to 0 for its reciprocal to be a finite float."""
-        self.extend(np.array([float(x)]))
-
-    def extend(self, xs: np.ndarray | Sequence[float]) -> None:
-        """Fold a 1-D block of observations in.
+    def extend(self, xs: np.ndarray | Sequence[float] | float) -> None:
+        """Fold a 1-D block of observations in, or one observation.
 
         The whole block is validated, and all three new sums formed, before
         any sum changes, so a rejected block leaves the accumulator as it was.
-        A sum_x or sum_inv_x beyond the float range raises OverflowError.
+        A value that is not a positive float with a float reciprocal is a
+        DomainError; a sum_x or sum_inv_x beyond the float range, OverflowError.
         Each x*x enters exactly as two_product(m, m) times 2**(2e), x = m * 2**e.
         """
-        xs = np.asarray(xs, dtype=np.float64).ravel()
+        try:
+            xs = np.asarray(xs, dtype=np.float64).ravel()
+        except OverflowError:  # an int or a Fraction past the largest float
+            raise DomainError("a value is past the float range: not a positive float") from None
         if xs.size == 0:
             return
         check_support(xs)
@@ -312,8 +307,8 @@ class SampleAccumulator:
     def cv2_conventional(self) -> float:
         """Unbiased sample variance over squared mean: one exact ratio of the sums, in [0, n]."""
         self._require(2)
-        s1 = self._sx._scaled
-        return self.n * _scatter(self.n, self._sx, self._sx2) / ((self.n - 1) * s1 * s1)
+        n, s1, s2 = self.n, self._sx.exact(), self._sx2.exact()
+        return float(n * (n * s2 - s1 * s1) / ((n - 1) * s1 * s1))
 
     def report(self) -> EstimateReport:
         self._require(2)

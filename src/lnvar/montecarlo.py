@@ -10,10 +10,10 @@ Reproducibility contract: per-cell seeds derive from (master_seed, row-major
 cell index) through numpy's SeedSequence mixing, so any cell can be re-run in
 isolation; draws come from an independent PCG64 stream per cell; per-run
 estimates fold block by block, in one pass, into two exact sums (ExactSum):
-of k_hat, and of its squares about a centre near the mean.  A grid runs its
-cells concurrently, one thread per available CPU (numpy releases the GIL in
-the sampling kernel); since no stream is shared between cells, the results do
-not depend on the thread count.
+of k_hat, and of its squares about a centre near the mean, and the variance
+is one exact rational of their exact() readings, rounded once.  Cells run
+concurrently, one thread per CPU (numpy releases the GIL while sampling), on
+independent streams, so the results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Literal, Optional, Sequence
 
@@ -38,8 +39,7 @@ from .errors import (
     check_int,
     check_positive,
 )
-from .estimator import _SCALE_BITS, ExactSum, _scatter, kn_from_sums
-from .estimator import large_sample_efficiency, sd_k_hat
+from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
 
 __all__ = [
     "SimulationCell",
@@ -221,8 +221,9 @@ def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> Simu
                     f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
                     "leave the float range"
                 ) from None
+    d = sum_k.exact() - runs * Fraction(centre)
     try:
-        var = _scatter(runs, sum_k, sum_sq, centre) / (runs * (runs - 1) << 2 * _SCALE_BITS)
+        var = float((runs * sum_sq.exact() - d * d) / (runs * (runs - 1)))
     except OverflowError:
         raise OverflowError("sd_khat overflows a float") from None
     sd = math.sqrt(var)

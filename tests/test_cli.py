@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -745,6 +747,42 @@ class TestTopLevel:
         warning, manifest = proc.stderr.splitlines()
         assert warning.startswith("warning: cv=3 > 2: the estimator's variance grows")
         assert json.loads(manifest)["command"] == "simulate"
+
+    @pytest.mark.parametrize(
+        "stream, argv",
+        [
+            ("stdin", ["estimate"]),
+            ("stdout", ["estimate", "DATA"]),
+            ("stdout", ["sample", "--g", "1", "--k", "1", "-n", "10"]),
+            ("stdout", ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
+            ("stdout", ["efficiency", "--points", "3"]),
+            ("stdout", ["verify", "--max-n", "2"]),
+        ],
+        ids=["estimate-stdin", "estimate-file", "sample", "simulate", "efficiency", "verify"],
+    )
+    def test_a_closed_standard_stream_is_a_data_error(
+        self, tmp_path, capsys, monkeypatch, stream, argv
+    ):
+        # Python sets sys.stdin or sys.stdout to None when the process starts without it
+        data = tmp_path / "data.txt"
+        data.write_text("1\n4\n")
+        monkeypatch.setattr(sys, stream, None)
+        code = main([str(data) if arg == "DATA" else arg for arg in argv])
+        name = "input" if stream == "stdin" else "output"
+        assert (code, capsys.readouterr().err) == (EXIT_DATA, f"error: standard {name} is closed\n")
+
+    def test_no_module_imports_a_private_name_of_another(self):
+        # a leading underscore keeps a name to its module; a dunder such as __version__ is public
+        package = pathlib.Path(lnvar.__file__).parent
+        imports = [
+            f"{path.name}:{node.lineno}: {alias.name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lnvar"))
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+        assert imports == []
 
     def test_fsig_round_trip(self):
         for v in (0.1, 1.6, 2.4859222776089562, 1e-12, 101010.0):

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from _properties import rel_diff
 class TestAccumulate:
     def test_single_update(self):
         acc = SampleAccumulator()
-        acc.add(2.0)
+        acc.extend(2.0)
         assert acc.n == 1
         assert acc.sum_x == 2.0
         assert acc.sum_inv_x == 0.5
@@ -42,12 +43,27 @@ class TestAccumulate:
         assert acc.sum_inv_x == 1.25
         assert acc.sum_x2 == 17.0
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -1.0,
+            0.0,
+            math.inf,
+            math.nan,
+            # past the float range: no float64 array can hold them
+            pytest.param(10**400, id="10**400"),
+            pytest.param(Fraction(10) ** 400, id="Fraction(10)**400"),
+        ],
+    )
     def test_rejects_off_support(self, bad):
         acc = SampleAccumulator()
-        with pytest.raises(DomainError, match="positive"):
-            acc.add(bad)
-        assert acc.n == 0
+        for block in (bad, [bad], [1.0, bad]):
+            with pytest.raises(DomainError, match="positive"):
+                acc.extend(block)
+        assert (acc.n, acc.sum_x, acc.sum_inv_x, acc.sum_x2) == (0, 0.0, 0.0, 0.0)
+        for values in ([bad], iter([bad])):
+            with pytest.raises(DomainError, match="positive"):
+                SampleAccumulator.from_values(values)
 
     @pytest.mark.parametrize("tiny", [5e-324, 1e-323, 2.0**-1024])
     def test_rejects_overflowing_reciprocal(self, tiny):
@@ -55,7 +71,7 @@ class TestAccumulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="reciprocal overflows"):
-                acc.add(tiny)
+                acc.extend(tiny)
             with pytest.raises(DomainError, match="reciprocal overflows"):
                 acc.extend(np.array([1.0, tiny, 3.0]))
         assert (acc.n, acc.sum_x, acc.sum_inv_x, acc.sum_x2) == (1, 2.0, 0.5, 4.0)
@@ -268,6 +284,47 @@ class TestExactSum:
             for part in parts:
                 total = part + total if rng.random() < 0.5 else total + part
             assert total.value() == want
+
+    def test_exact_is_the_rational_sum(self):
+        rng = np.random.default_rng(23)
+        for size in (1, 7, estimator._BLOCK + 3):
+            values = _finite_floats(rng, size)
+            ratios = [v.as_integer_ratio() for v in values.tolist()]
+            for shift in (None, rng.integers(-1100, 1000, size=values.size).astype(np.int32)):
+                ks = [0] * values.size if shift is None else shift.tolist()
+                # each term times 2**2200 is an int, since q is a power of two up to 2**1074
+                want = sum((p << (2200 + k)) // q for (p, q), k in zip(ratios, ks))
+                assert ExactSum.of(values, shift).exact() == Fraction(want, 2**2200)
+        # past the float range, where value() raises
+        top = np.array([sys.float_info.max] * 3)
+        with pytest.raises(OverflowError):
+            ExactSum.of(top).value()
+        assert ExactSum.of(top).exact() == 3 * Fraction(sys.float_info.max)
+
+    def test_exact_of_a_sum_is_the_sum_of_the_exacts(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            a, b = (ExactSum.of(_finite_floats(rng, rng.integers(0, 50))) for _ in range(2))
+            assert (a + b).exact() == a.exact() + b.exact()
+
+    def test_value_is_the_exact_sum_rounded(self):
+        rng = np.random.default_rng(25)
+        edges = ([5e-324, 5e-324, -5e-324], [1.0, 2.0**-53], [sys.float_info.max] * 2)
+        sums = [ExactSum.of(np.array(v)) for v in edges]
+        for _ in range(200):
+            values = _finite_floats(rng, rng.integers(1, 50))
+            sums.append(ExactSum.of(values * 2.0 ** -int(rng.integers(0, 1000))))
+        finite = 0
+        for s in sums:
+            try:
+                value = s.value()
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    float(s.exact())
+                continue
+            assert float(s.exact()) == value
+            finite += 1
+        assert finite > 100
 
     def test_sum_of_2_to_the_40_copies_is_exact(self):
         # x has the largest mantissa; doubling one copy 40 times stands for
