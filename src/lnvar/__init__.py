@@ -8,7 +8,7 @@ cross-checks those predictions against an exact covariance enumeration, and
 ships a seeded Monte Carlo harness plus a CLI for the whole workflow.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     BudgetExceededError,

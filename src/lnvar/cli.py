@@ -415,20 +415,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"usage error: {exc}"
     except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, message = EXIT_BUDGET, f"error: {exc}"
     except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DATA, f"error: {exc}"
     except ArithmeticError as exc:
-        print(f"error: the data are beyond float range for this report: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DATA, f"error: the data are beyond float range for this report: {exc}"
     except MemoryError:
-        print("error: not enough memory for this request", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_DATA, "error: not enough memory for this request"
+    # a closed standard error loses the line, not the exit code
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+    return code
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:

@@ -62,12 +62,14 @@ __all__ = [
 # M splits into a low limb in [0, 2**26) at bin i and a signed high limb in
 # [-2**27, 2**27) at bin i + 26.  A float64 bincount of _BLOCK values is then
 # exact (2**15 * 2**27 < 2**53), as is adding a block's high-limb bins onto its
-# low-limb bins (both below 2**42).
+# low-limb bins (both below 2**42), and folding 8 adjacent bins j = 0..7 into one
+# float, sum(bin_j * 2**j) below 2**43 * 2**8 = 2**51, so Python adds 1/8 as many ints.
 _EXP_OFFSET = 2252
 _LIMB_BITS = 26
 _SCALE_BITS = 2305
 _SCALE = 1 << _SCALE_BITS
 _BLOCK = 1 << 15
+_GROUP_WEIGHTS = 2.0 ** np.arange(8)
 
 
 class ExactSum:
@@ -76,12 +78,12 @@ class ExactSum:
     A small superaccumulator (Neal 2015, arXiv:1505.05571; Kulisch's long
     accumulator) held as one Python int, the sum scaled by 2**_SCALE_BITS.
     numpy sums the integer mantissa limbs of a block by exponent with
-    np.bincount, and the block's bins fold into the int.  value() divides the
-    int by 2**_SCALE_BITS; CPython rounds that division correctly, subnormals
-    included, so the reading equals math.fsum over the same values.  Adding
-    two sums adds their ints, which is exactly associative, so the reading
-    does not depend on how the values were split or in which order the parts
-    were added.
+    np.bincount, and the block's bins fold into the int 8 at a time.  value()
+    divides the int by 2**_SCALE_BITS; CPython rounds that division correctly,
+    subnormals included, so the reading equals math.fsum over the same
+    values.  Adding two sums adds their ints, which is exactly associative, so
+    the reading does not depend on how the values were split or in which order
+    the parts were added.
     """
 
     __slots__ = ("_scaled",)
@@ -105,14 +107,16 @@ class ExactSum:
             with np.errstate(invalid="ignore"):
                 mantissa -= high  # exact: the fractional part of a float
             mantissa *= 2.0**_LIMB_BITS
-            bins = np.bincount(exponent, weights=mantissa, minlength=top + _LIMB_BITS)
+            bins = np.bincount(exponent, weights=mantissa, minlength=(top + _LIMB_BITS + 7) & -8)
             # an inf or a nan leaves a nan low limb
             if not np.isfinite(bins).all():
                 raise DomainError("cannot sum a value that is not finite")
-            bins[_LIMB_BITS:] += np.bincount(exponent, weights=high, minlength=top)
-            nonzero = np.flatnonzero(bins)
-            limbs = bins[nonzero].astype(np.int64).tolist()
-            scaled += sum(b << i for i, b in zip(nonzero.tolist(), limbs)) << (base + _EXP_OFFSET)
+            bins[_LIMB_BITS : _LIMB_BITS + top] += np.bincount(exponent, weights=high, minlength=top)
+            # not `@`: a matmul goes through BLAS, whose threads cost CPU in a fresh process
+            groups = (bins.reshape(-1, 8) * _GROUP_WEIGHTS).sum(axis=1)
+            nonzero = np.flatnonzero(groups)
+            limbs = groups[nonzero].astype(np.int64).tolist()
+            scaled += sum(g << 8 * i for i, g in zip(nonzero.tolist(), limbs)) << (base + _EXP_OFFSET)
         return cls(scaled)
 
     def __add__(self, other: "ExactSum") -> "ExactSum":

@@ -6,25 +6,26 @@ cv^2, reads off the bias-corrected relative ratio, and the cell reports the
 empirical mean and sd of that estimate over all runs next to the analytic
 predictions.
 
-Reproducibility contract: per-cell seeds derive from (master_seed, row-major
-cell index) through numpy's SeedSequence mixing, so any cell can be re-run in
-isolation; draws come from an independent PCG64 stream per cell; per-run
-estimates fold block by block, in one pass, into two exact sums (ExactSum):
-of k_hat, and of its squares about a centre near the mean, and the variance
-is one exact rational of their exact() readings, rounded once.  Cells run
-concurrently, one thread per CPU (numpy releases the GIL while sampling), on
-independent streams, so the results do not depend on the thread count.
+Reproducibility contract: the seed of the i-th n derives from (master_seed,
+i) through numpy's SeedSequence mixing, and all cv cells of that n read its
+PCG64 stream (common random numbers: the cells are correlated, each equal to
+its cv run alone), so any cell can be re-run in isolation; per-run estimates
+fold block by block, in one pass, into two exact sums (ExactSum): of k_hat,
+and of its squares about a centre near the mean, and the variance is one
+exact rational of their exact() readings, rounded once.  Sample sizes run
+concurrently, one thread each up to the CPU count (numpy releases the GIL
+while sampling), so the results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -147,8 +148,9 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     """Mix (master_seed, cell_index) into an independent 64-bit cell seed.
 
     Uses numpy's SeedSequence with the cell index as spawn key, the same
-    mixing that backs SeedSequence.spawn, so cell streams never overlap
-    and a cell is reproducible from the CSV row alone.
+    mixing that backs SeedSequence.spawn, so streams never overlap.  run_grid
+    passes the index of the sample size, so the cv cells of one n share a
+    seed, and a cell is reproducible from its CSV row alone.
     """
     master_seed = check_int(master_seed, "master_seed", 0)
     cell_index = check_int(cell_index, "cell_index", 0)
@@ -163,82 +165,102 @@ def _check_population(cv: float, mu_y: float) -> float:
     return float(cv)
 
 
-def run_cell(n: int, cv: float, runs: int, seed: int, mu_y: float = 0.0) -> SimulationCell:
-    """Run one simulation cell and summarize it.
+def run_cell(
+    n: int, cv: float | Sequence[float], runs: int, seed: int, mu_y: float = 0.0
+) -> SimulationCell | list[SimulationCell]:
+    """Run one simulation cell and summarize it; for a sequence of cvs, a list of cells.
 
-    Each run's estimate is the bias-corrected ratio k_hat; the cell reports
+    Each run's estimate is the bias-corrected ratio k_hat; a cell reports
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
-    analytic predictions cv^2 and sd_k_hat(n, cv^2).  A cell of more draws
-    than LNVAR_MAX_DRAWS (DEFAULT_MAX_DRAWS when unset) raises
+    analytic predictions cv^2 and sd_k_hat(n, cv^2).  Every cv reads the same
+    runs * n standard normals z as exp(z * sigma + mu_y) (common random
+    numbers), so each cell of a list equals that cv's cell run alone.  More
+    draws than LNVAR_MAX_DRAWS (DEFAULT_MAX_DRAWS when unset) raise
     BudgetExceededError.  A run whose draws or estimate leave the float range
-    (say mu_y = 705 with cv = 3) raises DomainError, without a numpy warning.
+    (say mu_y = 705 with cv = 3) raises DomainError, without a numpy warning,
+    naming the first cv, in order, to fail at the first sampling step where one does.
     """
     n = check_int(n, "n", 2)
-    cv = _check_population(cv, mu_y)
+    cvs = [_check_population(c, mu_y) for c in ([cv] if isinstance(cv, numbers.Number) else cv)]
+    if not cvs:
+        raise DomainError("cv must be a number or a nonempty sequence of numbers")
     runs = check_int(runs, "runs", 2)
     seed = check_int(seed, "seed", 0)
 
     check_draw_budget(runs * n, f"cell (n={n}, runs={runs})")
-    if cv > 2.0:
-        warnings.warn(
-            f"cv={cv:g} > 2: the estimator's variance grows like cv^8/n, so the "
-            "empirical sd converges slowly at this setting",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    for c in cvs:
+        if c > 2.0:
+            warnings.warn(
+                f"cv={c:g} > 2: the estimator's variance grows like cv^8/n, so the "
+                "empirical sd converges slowly at this setting",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
-    sigma = math.sqrt(math.log1p(cv * cv))
+    sigmas = [math.sqrt(math.log1p(c * c)) for c in cvs]
     rng = np.random.default_rng(seed)
 
-    block = np.empty(min(runs, _BLOCK_RUNS), dtype=np.float64)
+    # every buffer is allocated here, once: all cvs' blocks together hold about
+    # _BLOCK_RUNS runs, each at least the 1024 runs that set its centre
+    blocks = np.empty((len(cvs), min(runs, max(1024, _BLOCK_RUNS // len(cvs)))))
     rows_per_draw = max(1, _CHUNK_ELEMS // n)
-    sum_k = sum_sq = ExactSum()
+    z = np.empty((min(rows_per_draw, blocks.shape[1]), n))
+    xs, sums = np.empty((2, *z.shape)), np.empty((2, z.shape[0]))  # a step's x and 1/x, row sums
+    sum_k, sum_sq, centres = [ExactSum()] * len(cvs), [ExactSum()] * len(cvs), [0.0] * len(cvs)
 
     # a draw or a sum beyond the float range ends as an inf or a nan estimate,
     # which ExactSum refuses; numpy is not to warn on the way
     with np.errstate(all="ignore"):
-        for start in range(0, runs, _BLOCK_RUNS):
-            k_hat = block[: min(_BLOCK_RUNS, runs - start)]
-            for row in range(0, k_hat.size, rows_per_draw):
-                x = np.exp(rng.normal(mu_y, sigma, size=(min(rows_per_draw, k_hat.size - row), n)))
-                if n == 2:  # one add per row, much faster than a reduction along rows
-                    kn = kn_from_sums(np.add(*x.T), np.add(*(1.0 / x).T), n)
-                else:
-                    kn = kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n)
-                np.multiply(kn, n / (n - 1.0), out=k_hat[row : row + kn.size])
-            try:
-                sum_k += ExactSum.of(k_hat)
-                if start == 0:
-                    # squares about the first 1024 runs' mean cut to 27 bits, so that
-                    # k_hat - centre is exact near it: only the squares round
-                    head = k_hat[:1024]
-                    m, e = math.frexp(ExactSum.of(head).value("mean_khat") / head.size)
-                    centre = math.ldexp(round(m * 2**27), e - 27)
-                k_hat -= centre
-                sum_sq += ExactSum.of(np.square(k_hat, out=k_hat))
-            except DomainError:
+        for start in range(0, runs, blocks.shape[1]):
+            size = min(blocks.shape[1], runs - start)
+            for row in range(0, size, rows_per_draw):
+                rows = min(rows_per_draw, size - row)
+                z_step, x, s = rng.standard_normal(out=z[:rows]), xs[:, :rows], sums[:, :rows]
+                for k_hat, sigma in zip(blocks, sigmas):
+                    # z * sigma + mu_y is rng.normal(mu_y, sigma) bit for bit; adding
+                    # mu_y = 0 changes no exp(x), so that pass is skipped
+                    np.multiply(z_step, sigma, out=x[0])
+                    if mu_y:
+                        np.add(x[0], mu_y, out=x[0])
+                    np.divide(1.0, np.exp(x[0], out=x[0]), out=x[1])
+                    if n == 2:  # one add per row, much faster than a reduction along rows
+                        np.add(x[..., 0], x[..., 1], out=s)
+                    else:
+                        np.sum(x, axis=2, out=s)
+                    np.multiply(kn_from_sums(*s, n), n / (n - 1.0), out=k_hat[row : row + rows])
+            failed = []
+            for i, k_hat in enumerate(blocks[:, :size]):
+                try:
+                    sum_k[i] += ExactSum.of(k_hat)
+                    if start == 0:
+                        # squares about the first 1024 runs' mean cut to 27 bits, so that
+                        # k_hat - centre is exact near it: only the squares round
+                        head = k_hat[:1024]
+                        m, e = math.frexp(ExactSum.of(head).value("mean_khat") / head.size)
+                        centres[i] = math.ldexp(round(m * 2**27), e - 27)
+                    k_hat -= centres[i]
+                    sum_sq[i] += ExactSum.of(np.square(k_hat, out=k_hat))
+                except DomainError:
+                    # the failed run's estimate, or its square, is an inf or a nan
+                    failed.append((np.flatnonzero(~np.isfinite(k_hat))[0] // rows_per_draw, i))
+            if failed:
                 raise DomainError(
-                    f"mu_y={mu_y:g}, cv={cv:g}: the draws or the per-run estimates "
-                    "leave the float range"
-                ) from None
-    d = sum_k.exact() - runs * Fraction(centre)
-    try:
-        var = float((runs * sum_sq.exact() - d * d) / (runs * (runs - 1)))
-    except OverflowError:
-        raise OverflowError("sd_khat overflows a float") from None
-    sd = math.sqrt(var)
+                    f"mu_y={mu_y:g}, cv={cvs[min(failed)[1]]:g}: the draws or the per-run "
+                    "estimates leave the float range"
+                )
 
-    return SimulationCell(
-        n=n,
-        cv=cv,
-        runs=runs,
-        seed=seed,
-        mean_khat=sum_k.value("mean_khat") / runs,
-        sd_khat=sd,
-        pred_mean=cv * cv,
-        pred_sd=sd_k_hat(n, cv * cv),
-        se_mean=sd / math.sqrt(runs),
-    )
+    cells = []
+    for c, s_k, s_sq, centre in zip(cvs, sum_k, sum_sq, centres):
+        d = s_k.exact() - runs * Fraction(centre)
+        try:
+            sd = math.sqrt(float((runs * s_sq.exact() - d * d) / (runs * (runs - 1))))
+        except OverflowError:
+            raise OverflowError("sd_khat overflows a float") from None
+        cells.append(SimulationCell(
+            n=n, cv=c, runs=runs, seed=seed, mean_khat=s_k.value("mean_khat") / runs, sd_khat=sd,
+            pred_mean=c * c, pred_sd=sd_k_hat(n, c * c), se_mean=sd / math.sqrt(runs),
+        ))
+    return cells[0] if isinstance(cv, numbers.Number) else cells
 
 
 def _available_cpus() -> int:
@@ -252,32 +274,30 @@ def _available_cpus() -> int:
 def run_grid(cfg: GridConfig) -> list[SimulationCell]:
     """Run every (n, cv) cell of the grid, row-major over n then cv.
 
-    Cells run concurrently on up to one thread per available CPU; each has
-    its own stream, so the results are the same for any thread count.  Each
-    cell is held to the LNVAR_MAX_DRAWS budget, as in run_cell.  A failure
-    raises the error of the lowest-index failing cell, cancels the cells not
-    yet started, and returns no partial results.
+    The cells of one n are one run_cell call with the grid's cvs, on the
+    seed derive_cell_seed(master_seed, index of n), so they share their draws.
+    Sample sizes run concurrently on up to one thread per available CPU; each
+    has its own stream, so the results are the same for any thread count.
+    Each n is held to the LNVAR_MAX_DRAWS budget, as in run_cell.  A failure
+    raises the error of the lowest-index failing n, cancels the sample sizes
+    not yet started, and returns no partial results.
     """
     # imported here, not at the top, so that `import lnvar` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
     specs = [
-        (
-            n,
-            cv,
-            resolve_runs(n, cfg.runs_override, cfg.runs_cap),
-            derive_cell_seed(cfg.master_seed, index),
-        )
-        for index, (n, cv) in enumerate(product(cfg.n_values, cfg.cv_values))
+        (n, resolve_runs(n, cfg.runs_override, cfg.runs_cap), derive_cell_seed(cfg.master_seed, i))
+        for i, n in enumerate(cfg.n_values)
     ]
 
-    def cell(spec: tuple[int, float, int, int]) -> SimulationCell:
+    def cells(spec: tuple[int, int, int]) -> list[SimulationCell]:
         # looked up at call time, so a patched montecarlo.run_cell is the one run
-        return run_cell(*spec, cfg.mu_y)
+        n, runs, seed = spec
+        return run_cell(n, cfg.cv_values, runs, seed, cfg.mu_y)
 
     pool = ThreadPoolExecutor(max_workers=min(len(specs), _available_cpus()))
     try:
-        return list(pool.map(cell, specs))
+        return [cell for row in pool.map(cells, specs) for cell in row]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import io
 import json
@@ -515,13 +516,24 @@ class TestGoldenDigests:
         [
             (
                 ["simulate", "--n", "2,10,100", "--cv", "0.1,0.5,1.0", "--runs", "2000", "--seed", "7"],
-                # sd_khat of (2, 0.1) changed once with the one-pass reduction,
-                # from 0.432 to 0.568 ulp off the exact value
-                "821f2f957e711a5069c15b438284342f05dbfed75a322dde8476b2afea9dfd57",
+                # sd_khat of (2, 0.1) changed once with the one-pass reduction, from 0.432
+                # to 0.568 ulp off the exact value; every row but the first changed once
+                # with per-n seeds, when the cv cells of one n began to share their draws
+                "74f69bb9f1d497f1f10fac68edc180bf72e98e53646663ba29c501938ede7c2d",
+            ),
+            (
+                # one cv: the cell index is the n index, so these bytes did not change
+                # with per-n seeds
+                ["simulate", "--n", "2,10,100", "--cv", "0.5", "--runs", "2000", "--seed", "7"],
+                "91b6603304f8a0245953868fec15656d9ae93cd0cd892f5a1997a08a04729637",
+            ),
+            (
+                ["simulate", "--n", "3,40", "--cv", "1.5", "--runs", "300000", "--seed", "11"],
+                "b0d52634c6793cda3ebb99ff3f05b65477463774c2fb7d441d69e4c70cd05f73",
             ),
             (["efficiency"], "16f7ee5ab51fd5ac673dfbcd44d4f986d6e24e6fd627e3bc5c505f78431b00b4"),
         ],
-        ids=["simulate-3x3", "efficiency-default"],
+        ids=["simulate-3x3", "simulate-one-cv", "simulate-one-cv-past-a-block", "efficiency-default"],
     )
     def test_csv_digest(self, capsys, argv, digest):
         code, out, _ = run_main(argv, capsys)
@@ -757,19 +769,34 @@ class TestTopLevel:
             ("stdout", ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
             ("stdout", ["efficiency", "--points", "3"]),
             ("stdout", ["verify", "--max-n", "2"]),
+            ("stderr", ["estimate", "MISSING"]),
+            ("stderr", ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
         ],
-        ids=["estimate-stdin", "estimate-file", "sample", "simulate", "efficiency", "verify"],
+        ids=["estimate-stdin", "estimate-file", "sample", "simulate", "efficiency", "verify",
+             "estimate-stderr", "simulate-stderr"],
     )
     def test_a_closed_standard_stream_is_a_data_error(
         self, tmp_path, capsys, monkeypatch, stream, argv
     ):
-        # Python sets sys.stdin or sys.stdout to None when the process starts without it
+        # Python sets sys.stdin or sys.stdout to None when the process starts without it;
+        # under `2>&-` its stderr wraps a descriptor that refuses writes
+        class Refusing(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
         data = tmp_path / "data.txt"
         data.write_text("1\n4\n")
-        monkeypatch.setattr(sys, stream, None)
-        code = main([str(data) if arg == "DATA" else arg for arg in argv])
-        name = "input" if stream == "stdin" else "output"
-        assert (code, capsys.readouterr().err) == (EXIT_DATA, f"error: standard {name} is closed\n")
+        monkeypatch.setattr(sys, stream, Refusing() if stream == "stderr" else None)
+        paths = {"DATA": str(data), "MISSING": str(tmp_path / "missing.txt")}
+        code = main([paths.get(arg, arg) for arg in argv])
+        out, err = capsys.readouterr()
+        if stream == "stderr":
+            # the error line, or simulate's manifest, is lost; the exit code still tells
+            assert (code, err) == (EXIT_DATA, "")
+            assert out.startswith("n,cv,runs,seed,") == (argv[0] == "simulate")
+        else:
+            name = "input" if stream == "stdin" else "output"
+            assert (code, err) == (EXIT_DATA, f"error: standard {name} is closed\n")
 
     def test_no_module_imports_a_private_name_of_another(self):
         # a leading underscore keeps a name to its module; a dunder such as __version__ is public

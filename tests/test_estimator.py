@@ -238,6 +238,14 @@ class TestExactSum:
     def test_equals_fsum_on_edge_cases(self, values):
         assert repr(ExactSum.of(np.array(values)).value()) == repr(math.fsum(values))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_maximal_limbs_in_eight_adjacent_bins(self, sign):
+        # a full block of all-ones mantissas at 8 consecutive exponents: 8 adjacent bins
+        # of extreme low limbs, and 8 of extreme high limbs that straddle two groups of 8
+        values = np.repeat(sign * (1.0 - 2.0**-53) * 2.0 ** np.arange(8), estimator._BLOCK // 8)
+        assert values.size == estimator._BLOCK
+        assert ExactSum.of(values).exact() == sum(map(Fraction, values.tolist()))
+
     def test_partial_sums_may_leave_the_float_range(self):
         # math.fsum raises "intermediate overflow" here
         assert ExactSum.of(np.array([1e308, 1e308, -1e308])).value() == 1e308

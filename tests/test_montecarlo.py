@@ -1,8 +1,8 @@
-import itertools
 import math
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +188,36 @@ class TestRunCell:
         assert small <= 4 * 2**20
         assert peak(2**22) <= small + 2**19
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_a_sequence_of_cvs_gives_each_cv_its_cell(self, n):
+        # past one per-cv block (2**17 // 3 runs), and again as a one-element list
+        cvs, runs = [0.1, 1.9, 0.7], 2**17 + 5
+        assert run_cell(n, cvs, runs, 13) == [run_cell(n, cv, runs, 13) for cv in cvs]
+        assert run_cell(n, (0.7,), 3000, 13) == [run_cell(n, 0.7, 3000, 13)]
+        # any number is one cv, a Decimal too
+        assert run_cell(n, Decimal("0.7"), 3000, 13) == run_cell(n, 0.7, 3000, 13)
+
+    def test_a_sequence_of_cvs_draws_once_and_warns_per_cv(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "10000")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_cell(10, [2.5, 0.5, 3.0], 1000, 1)
+        assert [str(w.message)[:6] for w in caught] == ["cv=2.5", "cv=3 >"]
+        with pytest.raises(BudgetExceededError) as exc_info:
+            run_cell(10, [0.5, 1.0], 1001, 1)
+        assert exc_info.value.cost == 10_010
+        with pytest.raises(DomainError, match="^cv must be a number or a nonempty sequence"):
+            run_cell(10, [], 1000, 1)
+
+    @pytest.mark.parametrize(
+        "cvs, named", [([0.5, 1.0], 1), ([1.0, 1.5], 1), ([1.5, 1.0, 0.5], 1.5)]
+    )
+    def test_a_range_failure_names_the_first_cv_to_fail(self, cvs, named):
+        # at mu_y = 707.5, cv = 0.5 first fails at run 45192, in the third sampling step,
+        # and cv = 1 and cv = 1.5 at run 4, in the first
+        with pytest.raises(DomainError, match=rf"^mu_y=707.5, cv={named:g}: "):
+            run_cell(2, cvs, 10**5, 3, mu_y=707.5)
+
     def test_population_past_the_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^cv must be <="):
             run_cell(2, 10**400, 10, 1)
@@ -256,7 +286,9 @@ class TestRunGrid:
             (3, 0.2),
             (3, 0.7),
         ]
-        assert [c.seed for c in cells] == [derive_cell_seed(5, i) for i in range(4)]
+        # one seed per n, shared by its cv cells
+        s0, s1 = derive_cell_seed(5, 0), derive_cell_seed(5, 1)
+        assert [c.seed for c in cells] == [s0, s0, s1, s1]
         assert all(c.runs == 200 for c in cells)
 
     def test_runs_rule_applies_per_n(self):
@@ -289,25 +321,29 @@ class TestGridWorkers:
     def test_cells_match_row_major_loop(self, monkeypatch):
         reference = [
             run_cell(n, cv, 3000, derive_cell_seed(3, index))
-            for index, (n, cv) in enumerate(itertools.product(self.CFG.n_values, self.CFG.cv_values))
+            for index, n in enumerate(self.CFG.n_values)
+            for cv in self.CFG.cv_values
         ]
         for workers in (1, 2, 9):
             monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
             assert run_grid(self.CFG) == reference
 
     def test_cells_go_through_module_run_cell(self, monkeypatch):
-        # a patched montecarlo.run_cell is what the workers call
+        # a patched montecarlo.run_cell is what the workers call, once per n with every cv
         calls = []
 
         def recording(n, cv, runs, seed, *args, **kwargs):
-            calls.append(seed)
+            calls.append((n, cv, runs, seed))
             return run_cell(n, cv, runs, seed, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 9)
         monkeypatch.setattr(montecarlo, "run_cell", recording)
         cells = run_grid(self.CFG)
-        assert sorted(calls) == sorted(c.seed for c in cells)
-        assert len(calls) == 9
+        assert sorted(calls) == [
+            (n, self.CFG.cv_values, 3000, derive_cell_seed(3, index))
+            for index, n in enumerate(self.CFG.n_values)
+        ]
+        assert [c.seed for c in cells] == [seed for *_, seed in sorted(calls) for _ in range(3)]
 
     @pytest.mark.parametrize("workers", [1, 2, 9])
     def test_lowest_failing_cell_raises(self, monkeypatch, workers):
