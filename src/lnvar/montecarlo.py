@@ -217,11 +217,8 @@ def run_cell(
                 rows = min(rows_per_draw, size - row)
                 z_step, x, s = rng.standard_normal(out=z[:rows]), xs[:, :rows], sums[:, :rows]
                 for k_hat, sigma in zip(blocks, sigmas):
-                    # z * sigma + mu_y is rng.normal(mu_y, sigma) bit for bit; adding
-                    # mu_y = 0 changes no exp(x), so that pass is skipped
-                    np.multiply(z_step, sigma, out=x[0])
-                    if mu_y:
-                        np.add(x[0], mu_y, out=x[0])
+                    # z * sigma + mu_y is rng.normal(mu_y, sigma) bit for bit
+                    np.add(np.multiply(z_step, sigma, out=x[0]), mu_y, out=x[0])
                     np.divide(1.0, np.exp(x[0], out=x[0]), out=x[1])
                     if n == 2:  # one add per row, much faster than a reduction along rows
                         np.add(x[..., 0], x[..., 1], out=s)

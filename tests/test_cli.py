@@ -528,12 +528,25 @@ class TestGoldenDigests:
                 "91b6603304f8a0245953868fec15656d9ae93cd0cd892f5a1997a08a04729637",
             ),
             (
+                # one cv away from mu_y = 0, where the draws are z * sigma + mu_y: these
+                # are the bytes of rng.normal(mu_y, sigma), as before per-n seeds
+                ["simulate", "--n", "2,10,100", "--cv", "0.5", "--runs", "2000", "--seed", "7",
+                 "--mu-y", "-2.5"],
+                "2e700bc74e19f10945c316fe83296320c5510d157696763b99a806ebece8f0c0",
+            ),
+            (
                 ["simulate", "--n", "3,40", "--cv", "1.5", "--runs", "300000", "--seed", "11"],
                 "b0d52634c6793cda3ebb99ff3f05b65477463774c2fb7d441d69e4c70cd05f73",
             ),
             (["efficiency"], "16f7ee5ab51fd5ac673dfbcd44d4f986d6e24e6fd627e3bc5c505f78431b00b4"),
         ],
-        ids=["simulate-3x3", "simulate-one-cv", "simulate-one-cv-past-a-block", "efficiency-default"],
+        ids=[
+            "simulate-3x3",
+            "simulate-one-cv",
+            "simulate-one-cv-shifted",
+            "simulate-one-cv-past-a-block",
+            "efficiency-default",
+        ],
     )
     def test_csv_digest(self, capsys, argv, digest):
         code, out, _ = run_main(argv, capsys)

@@ -112,6 +112,17 @@ class TestRunCell:
         assert rel_diff(base.mean_khat, shifted.mean_khat) <= 1e-12
         assert rel_diff(base.sd_khat, shifted.sd_khat) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [-700.0, -3.0, 0.25, 3.0, 705.0])
+    @pytest.mark.parametrize("sigma", [1e-6, 0.47, 2.1])
+    def test_scaled_standard_normals_are_rng_normal(self, mu, sigma):
+        # run_cell reads its draws as z * sigma + mu_y, two rounded ufunc passes;
+        # a numpy whose rng.normal fused loc + scale * z would break this identity
+        # and with it every one-cv digest away from mu_y = 0
+        z = np.empty((4096, 3))
+        np.random.default_rng(17).standard_normal(out=z)
+        x = np.add(np.multiply(z, sigma), mu)
+        assert np.array_equal(x, np.random.default_rng(17).normal(mu, sigma, z.shape))
+
     def test_budget_refusal_reports_cost(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "5000")
         with pytest.raises(BudgetExceededError) as exc_info:
