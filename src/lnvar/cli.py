@@ -97,12 +97,25 @@ def _report_text(report: EstimateReport) -> str:
     return "".join(f"{name:<{width}}  {value}\n" for name, value in fields.items())
 
 
+def _standard(name: str) -> TextIO:
+    """sys.stdin, sys.stdout or sys.stderr by name; OSError when Python started without it."""
+    stream = getattr(sys, name)
+    if stream is None:
+        noun = {"stdin": "input", "stdout": "output", "stderr": "error"}[name]
+        raise OSError(f"standard {noun} is closed")
+    return stream
+
+
+def _print_error(line: str) -> None:
+    """line on stderr; a missing or closed stderr loses the line, not the exit code."""
+    with contextlib.suppress(OSError):
+        _standard("stderr").write(line + "\n")
+
+
 def _output(path: str) -> ContextManager[TextIO]:
     """stdout for "-" (OSError when it is closed), else the file at path, opened for ASCII text."""
     if path == "-":
-        if sys.stdout is None:
-            raise OSError("standard output is closed")
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(_standard("stdout"))
     return open(path, "w", encoding="ascii", newline="")
 
 
@@ -120,7 +133,7 @@ def _emit_manifest(output_path: str, command: str, config: dict, master_seed: Op
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if output_path == "-":
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+        _standard("stderr").write(json.dumps(doc, sort_keys=True) + "\n")
     else:
         _write_text(output_path + ".manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -169,12 +182,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     source = "<stdin>" if args.input == "-" else args.input
     try:
         if args.input == "-":
-            if sys.stdin is None:
-                raise OSError("standard input is closed")
-            if hasattr(sys.stdin, "reconfigure"):
+            stdin = _standard("stdin")
+            if hasattr(stdin, "reconfigure"):
                 # as a file is read, whatever the locale's encoding and error handler
-                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-            acc = _accumulate_stream(sys.stdin, source)
+                stdin.reconfigure(encoding="utf-8", errors="strict")
+            acc = _accumulate_stream(stdin, source)
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 acc = _accumulate_stream(fh, source)
@@ -327,7 +339,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             status = "PASS" if group.passed else "FAIL"
             out.write(f"{group.label:<42} {group.checks:>4} checks  {status}\n")
     if not report.passed:
-        print(f"first mismatch: {report.first_failure}", file=sys.stderr)
+        _print_error(f"first mismatch: {report.first_failure}")
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -424,9 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, message = EXIT_DATA, f"error: the data are beyond float range for this report: {exc}"
     except MemoryError:
         code, message = EXIT_DATA, "error: not enough memory for this request"
-    # a closed standard error loses the line, not the exit code
-    with contextlib.suppress(OSError):
-        print(message, file=sys.stderr)
+    _print_error(message)
     return code
 
 

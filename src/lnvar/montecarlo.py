@@ -176,9 +176,10 @@ def run_cell(
     runs * n standard normals z as exp(z * sigma + mu_y) (common random
     numbers), so each cell of a list equals that cv's cell run alone.  More
     draws than LNVAR_MAX_DRAWS (DEFAULT_MAX_DRAWS when unset) raise
-    BudgetExceededError.  A run whose draws or estimate leave the float range
-    (say mu_y = 705 with cv = 3) raises DomainError, without a numpy warning,
-    naming the first cv, in order, to fail at the first sampling step where one does.
+    BudgetExceededError.  Each sampling step checks its estimates: a run whose draws
+    or estimate leave the float range (say mu_y = 705 with cv = 3) raises DomainError,
+    without a numpy warning, naming the first cv, in order, to fail at the first such
+    step; ExactSum's own, naming no cv, if only a square about the centre overflows.
     """
     n = check_int(n, "n", 2)
     cvs = [_check_population(c, mu_y) for c in ([cv] if isinstance(cv, numbers.Number) else cv)]
@@ -208,9 +209,7 @@ def run_cell(
     xs, sums = np.empty((2, *z.shape)), np.empty((2, z.shape[0]))  # a step's x and 1/x, row sums
     sum_k, sum_sq, centres = [ExactSum()] * len(cvs), [ExactSum()] * len(cvs), [0.0] * len(cvs)
 
-    # a draw or a sum beyond the float range ends as an inf or a nan estimate,
-    # which ExactSum refuses; numpy is not to warn on the way
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # numpy does not warn of an inf or nan refused below
         for start in range(0, runs, blocks.shape[1]):
             size = min(blocks.shape[1], runs - start)
             for row in range(0, size, rows_per_draw):
@@ -225,26 +224,23 @@ def run_cell(
                     else:
                         np.sum(x, axis=2, out=s)
                     np.multiply(kn_from_sums(*s, n), n / (n - 1.0), out=k_hat[row : row + rows])
-            failed = []
+                # one test per step for all cvs: a test per cv cost 8% more grid CPU
+                finite = np.isfinite(blocks[:, row : row + rows])
+                if not finite.all():
+                    raise DomainError(
+                        f"mu_y={mu_y:g}, cv={cvs[finite.all(axis=1).argmin()]:g}: the draws or "
+                        "the per-run estimates leave the float range"
+                    )
             for i, k_hat in enumerate(blocks[:, :size]):
-                try:
-                    sum_k[i] += ExactSum.of(k_hat)
-                    if start == 0:
-                        # squares about the first 1024 runs' mean cut to 27 bits, so that
-                        # k_hat - centre is exact near it: only the squares round
-                        head = k_hat[:1024]
-                        m, e = math.frexp(ExactSum.of(head).value("mean_khat") / head.size)
-                        centres[i] = math.ldexp(round(m * 2**27), e - 27)
-                    k_hat -= centres[i]
-                    sum_sq[i] += ExactSum.of(np.square(k_hat, out=k_hat))
-                except DomainError:
-                    # the failed run's estimate, or its square, is an inf or a nan
-                    failed.append((np.flatnonzero(~np.isfinite(k_hat))[0] // rows_per_draw, i))
-            if failed:
-                raise DomainError(
-                    f"mu_y={mu_y:g}, cv={cvs[min(failed)[1]]:g}: the draws or the per-run "
-                    "estimates leave the float range"
-                )
+                sum_k[i] += ExactSum.of(k_hat)
+                if start == 0:
+                    # squares about the first 1024 runs' mean cut to 27 bits, so that
+                    # k_hat - centre is exact near it: only the squares round
+                    head = k_hat[:1024]
+                    m, e = math.frexp(ExactSum.of(head).value("mean_khat") / head.size)
+                    centres[i] = math.ldexp(round(m * 2**27), e - 27)
+                k_hat -= centres[i]
+                sum_sq[i] += ExactSum.of(np.square(k_hat, out=k_hat))
 
     cells = []
     for c, s_k, s_sq, centre in zip(cvs, sum_k, sum_sq, centres):

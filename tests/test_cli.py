@@ -37,6 +37,13 @@ from lnvar.montecarlo import GridConfig, run_grid
 from _properties import rel_diff
 
 
+class Refusing(io.TextIOBase):
+    """A stream whose descriptor refuses writes, as Python's stderr is under `2>&-`."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -714,6 +721,19 @@ class TestVerify:
         assert "shared_numerator" in err
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("stderr", [Refusing(), None], ids=["refusing", "none"])
+    def test_a_failure_keeps_its_exit_code_without_stderr(self, capsys, monkeypatch, stderr):
+        from lnvar import oracle
+
+        count = oracle.term_multiplicity
+        kind = oracle.TermKind.SHARED_NUMERATOR
+        monkeypatch.setattr(oracle, "term_multiplicity", lambda k, n: count(k, n) + (k is kind))
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code, out, err = run_main(["verify", "--max-n", "3"], capsys)
+        # the mismatch line is lost; the exit code and the table are not
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert [line.split()[-1] for line in out.splitlines()] == ["FAIL", "FAIL", "PASS", "FAIL"]
+
     @pytest.mark.parametrize("flags", [["--omega", "1e300"], ["--max-n", "3", "--omega", "1e200"]])
     def test_omega_beyond_float_range_passes(self, capsys, flags):
         code, out, err = run_main(["verify", *flags], capsys)
@@ -774,39 +794,40 @@ class TestTopLevel:
         assert json.loads(manifest)["command"] == "simulate"
 
     @pytest.mark.parametrize(
-        "stream, argv",
+        "stream, refusing, argv",
         [
-            ("stdin", ["estimate"]),
-            ("stdout", ["estimate", "DATA"]),
-            ("stdout", ["sample", "--g", "1", "--k", "1", "-n", "10"]),
-            ("stdout", ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
-            ("stdout", ["efficiency", "--points", "3"]),
-            ("stdout", ["verify", "--max-n", "2"]),
-            ("stderr", ["estimate", "MISSING"]),
-            ("stderr", ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
+            ("stdin", False, ["estimate"]),
+            ("stdout", False, ["estimate", "DATA"]),
+            ("stdout", False, ["sample", "--g", "1", "--k", "1", "-n", "10"]),
+            ("stdout", False, ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
+            ("stdout", False, ["efficiency", "--points", "3"]),
+            ("stdout", False, ["verify", "--max-n", "2"]),
+            ("stderr", True, ["estimate", "MISSING"]),
+            ("stderr", True, ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
+            ("stderr", False, ["estimate", "MISSING"]),
+            ("stderr", False, ["simulate", "--n", "2", "--cv", "0.5", "--runs", "100"]),
         ],
         ids=["estimate-stdin", "estimate-file", "sample", "simulate", "efficiency", "verify",
-             "estimate-stderr", "simulate-stderr"],
+             "estimate-stderr", "simulate-stderr", "estimate-stderr-none", "simulate-stderr-none"],
     )
     def test_a_closed_standard_stream_is_a_data_error(
-        self, tmp_path, capsys, monkeypatch, stream, argv
+        self, tmp_path, capsys, monkeypatch, stream, refusing, argv
     ):
-        # Python sets sys.stdin or sys.stdout to None when the process starts without it;
-        # under `2>&-` its stderr wraps a descriptor that refuses writes
-        class Refusing(io.TextIOBase):
-            def write(self, text):
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-
+        # Python sets a standard stream to None when the process starts without it;
+        # under `2>&-` its stderr may instead wrap a descriptor that refuses writes
         data = tmp_path / "data.txt"
         data.write_text("1\n4\n")
-        monkeypatch.setattr(sys, stream, Refusing() if stream == "stderr" else None)
+        monkeypatch.setattr(sys, stream, Refusing() if refusing else None)
         paths = {"DATA": str(data), "MISSING": str(tmp_path / "missing.txt")}
         code = main([paths.get(arg, arg) for arg in argv])
         out, err = capsys.readouterr()
         if stream == "stderr":
             # the error line, or simulate's manifest, is lost; the exit code still tells
             assert (code, err) == (EXIT_DATA, "")
-            assert out.startswith("n,cv,runs,seed,") == (argv[0] == "simulate")
+            if argv[0] == "simulate":
+                assert out.startswith("n,cv,runs,seed,")
+            else:
+                assert out == ""
         else:
             name = "input" if stream == "stdin" else "output"
             assert (code, err) == (EXIT_DATA, f"error: standard {name} is closed\n")

@@ -245,6 +245,23 @@ class TestRunCell:
         assert [str(w.message)[:3] for w in caught] == ["cv="] * (cv > 2)
 
     @pytest.mark.parametrize(
+        "mu_y, cvs, named",
+        [(707.5, [0.5, 1.0], 1), (707.5, [1.5, 1.0, 0.5], 1.5), (709.0, [1.0], 1),
+         (-744.0, [0.1], 0.1)],
+    )
+    def test_a_range_failure_is_refused_before_the_exact_sums(self, monkeypatch, mu_y, cvs, named):
+        # the step that makes an inf or a nan estimate refuses it; ExactSum.of never sees one
+        class FiniteOnly(montecarlo.ExactSum):
+            @classmethod
+            def of(cls, values, shift=None):
+                assert np.isfinite(values).all()
+                return super().of(values, shift)
+
+        monkeypatch.setattr(montecarlo, "ExactSum", FiniteOnly)
+        with pytest.raises(DomainError, match=rf"^mu_y={mu_y:g}, cv={named:g}: the draws or "):
+            run_cell(2, cvs, 10**5, 3, mu_y=mu_y)
+
+    @pytest.mark.parametrize(
         "cv, mu_y, name",
         [
             (1e300, 0.0, "cv"),
