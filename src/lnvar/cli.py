@@ -15,7 +15,7 @@ import json
 import sys
 import warnings
 from datetime import datetime, timezone
-from typing import ContextManager, Iterator, Optional, Sequence, TextIO
+from typing import ContextManager, Iterator, NoReturn, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -65,6 +65,16 @@ _POW10_INT = _POW10[:18].astype(np.int64)
 
 class _UsageError(Exception):
     pass
+
+
+# argparse, writing through _standard: help and version to stdout, a usage error to stderr
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: Optional[TextIO] = None) -> None:
+        (file or _standard("stdout")).write(message)  # no file: help or version, stdout missing
+
+    def error(self, message: str) -> NoReturn:
+        _print_error(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(EXIT_USAGE)
 
 
 def fsig(value: float) -> str:
@@ -345,7 +355,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lnvar",
         description=(
             "Estimate lognormal variability (squared coefficient of variation) "
@@ -419,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # SystemExit for --help, --version, a usage error
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as exc:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except BudgetExceededError as exc:

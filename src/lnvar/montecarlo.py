@@ -31,8 +31,6 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BUDGET_ENV_VAR,
-    DEFAULT_MAX_DRAWS,
     MAX_FLOAT_ARRAY_LEN,
     DomainError,
     check_at_least,
@@ -50,8 +48,6 @@ __all__ = [
     "run_cell",
     "run_grid",
     "efficiency_curve",
-    "BUDGET_ENV_VAR",
-    "DEFAULT_MAX_DRAWS",
     "DEFAULT_MASTER_SEED",
 ]
 
@@ -61,12 +57,14 @@ RUNS_NUMERATOR = 10**7
 DEFAULT_MASTER_SEED = 1729
 # draws per sampling step (_CHUNK_ELEMS // n runs of n draws) and runs per reduction
 # block, at least the 1024 runs that set the centre; streams and exact sums split
-# freely, so neither changes the bytes.  Peak RSS of default `lnvar simulate` on two
-# threads (x86-64, Python 3.11, numpy 2.4) at chunk/block 1 << 15/17: 40.5 MB; 12/17:
-# 39.9 MB, +23% wall; 16/17: 43.3 MB; 15/15: 39.0 MB, +9% wall; 15/20: 53.2 MB.
+# freely, so neither changes the bytes.  Peak RSS of default `lnvar simulate`, 2 threads
+# (x86-64, Python 3.11, numpy 2.4, medians of 16 runs), at chunk/block 1 << 15/17: 42.0 MB;
+# 12/17: 40.6 MB, +75-93% wall; 16/17: 44.4 MB; 15/15: 39.3 MB; 15/20: 55.1 MB; the other
+# wall times moved less than they spread from run to run.
 _CHUNK_ELEMS = 1 << 15
 _BLOCK_RUNS = 1 << 17
 
+# the default grid, `lnvar simulate` without options: runs = min(1e6, floor(1e7 / (n - 1)))
 DEFAULT_N_VALUES = (2, 10, 100)
 DEFAULT_CV_VALUES = (0.1, 0.5, 1.0)
 DEFAULT_RUNS_CAP = 10**6
@@ -118,17 +116,6 @@ class GridConfig:
             self.runs_override = check_int(self.runs_override, "runs_override", 2)
         if self.runs_cap is not None:
             self.runs_cap = check_int(self.runs_cap, "runs_cap", 2)
-
-    @classmethod
-    def default(cls, master_seed: int = DEFAULT_MASTER_SEED) -> "GridConfig":
-        """The stock desk-scale grid: n in {2, 10, 100}, cv in {0.1, 0.5, 1.0},
-        runs = min(1e6, floor(1e7 / (n - 1)))."""
-        return cls(
-            n_values=DEFAULT_N_VALUES,
-            cv_values=DEFAULT_CV_VALUES,
-            master_seed=master_seed,
-            runs_cap=DEFAULT_RUNS_CAP,
-        )
 
 
 def resolve_runs(
@@ -267,30 +254,24 @@ def _available_cpus() -> int:
 def run_grid(cfg: GridConfig) -> list[SimulationCell]:
     """Run every (n, cv) cell of the grid, row-major over n then cv.
 
-    The cells of one n are one run_cell call with the grid's cvs, on the
-    seed derive_cell_seed(master_seed, index of n), so they share their draws.
-    Sample sizes run concurrently on up to one thread per available CPU; each
-    has its own stream, so the results are the same for any thread count.
-    Each n is held to the LNVAR_MAX_DRAWS budget, as in run_cell.  A failure
-    raises the error of the lowest-index failing n, cancels the sample sizes
-    not yet started, and returns no partial results.
+    Each n is one run_cell call with the grid's cvs, on the seed
+    derive_cell_seed(master_seed, index of n), so its cv cells share their draws.
+    The calls are mapped onto up to one thread per available CPU; run_cell is looked
+    up when run_grid runs, so a patched montecarlo.run_cell is the one mapped.  Each n
+    has its own stream, so the results are the same for any thread count, and its own
+    LNVAR_MAX_DRAWS budget.  A failure raises the error of the lowest-index failing n,
+    cancels the sample sizes not yet started, and returns no partial results.
     """
     # imported here, not at the top, so that `import lnvar` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    specs = [
-        (n, resolve_runs(n, cfg.runs_override, cfg.runs_cap), derive_cell_seed(cfg.master_seed, i))
-        for i, n in enumerate(cfg.n_values)
-    ]
-
-    def cells(spec: tuple[int, int, int]) -> list[SimulationCell]:
-        # looked up at call time, so a patched montecarlo.run_cell is the one run
-        n, runs, seed = spec
-        return run_cell(n, cfg.cv_values, runs, seed, cfg.mu_y)
-
-    pool = ThreadPoolExecutor(max_workers=min(len(specs), _available_cpus()))
+    ns = cfg.n_values
+    runs = [resolve_runs(n, cfg.runs_override, cfg.runs_cap) for n in ns]
+    seeds = [derive_cell_seed(cfg.master_seed, i) for i in range(len(ns))]
+    pool = ThreadPoolExecutor(max_workers=min(len(ns), _available_cpus()))
     try:
-        return [cell for row in pool.map(cells, specs) for cell in row]
+        rows = pool.map(run_cell, ns, [cfg.cv_values] * len(ns), runs, seeds, [cfg.mu_y] * len(ns))
+        return [cell for row in rows for cell in row]
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -32,7 +32,8 @@ from lnvar.cli import (
 )
 from lnvar.estimator import sd_k_hat
 from lnvar.model import params_from_gk, sample
-from lnvar.montecarlo import GridConfig, run_grid
+from lnvar.montecarlo import DEFAULT_CV_VALUES, DEFAULT_MASTER_SEED, DEFAULT_N_VALUES
+from lnvar.montecarlo import DEFAULT_RUNS_CAP, GridConfig, run_grid
 
 from _properties import rel_diff
 
@@ -508,11 +509,10 @@ class TestSimulate:
         assert args.runs is None
         assert args.runs_cap == 10**6
         # the CLI's default grid is the library's
-        default = GridConfig.default()
-        assert tuple(_parse_list(args.n, "--n", int)) == default.n_values
-        assert tuple(_parse_list(args.cv, "--cv")) == default.cv_values
-        assert args.runs_cap == default.runs_cap
-        assert args.seed == default.master_seed
+        assert tuple(_parse_list(args.n, "--n", int)) == DEFAULT_N_VALUES
+        assert tuple(_parse_list(args.cv, "--cv")) == DEFAULT_CV_VALUES
+        assert args.runs_cap == DEFAULT_RUNS_CAP
+        assert args.seed == DEFAULT_MASTER_SEED
 
 
 class TestGoldenDigests:
@@ -831,6 +831,26 @@ class TestTopLevel:
         else:
             name = "input" if stream == "stdin" else "output"
             assert (code, err) == (EXIT_DATA, f"error: standard {name} is closed\n")
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["simulate", "--help"]])
+    def test_help_or_version_to_a_missing_stdout_is_a_data_error(self, capsys, monkeypatch, argv):
+        # argparse would write the text to stderr instead, and exit 0
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (EXIT_DATA, "error: standard output is closed\n")
+
+    @pytest.mark.parametrize("argv", [["simulate", "--bogus"], ["--runs", "3"], []])
+    def test_a_usage_error_with_a_missing_stderr_writes_nothing(self, capsys, monkeypatch, argv):
+        # argparse would fall back to stdout for the usage line
+        monkeypatch.setattr(sys, "stderr", None)
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == (EXIT_USAGE, "")
+
+    def test_a_usage_error_is_the_usage_then_the_error_line(self, capsys):
+        assert main(["simulate", "--runs", "x"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err[:38]) == ("", "usage: lnvar simulate [-h] [--n N] [--")
+        assert err.endswith("\nlnvar simulate: error: argument --runs: invalid int value: 'x'\n")
 
     def test_no_module_imports_a_private_name_of_another(self):
         # a leading underscore keeps a name to its module; a dunder such as __version__ is public

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from lnvar import montecarlo
-from lnvar.errors import BudgetExceededError, DomainError
+from lnvar.errors import BUDGET_ENV_VAR, BudgetExceededError, DomainError
 from lnvar.estimator import expected_k_n, kn_from_sums, large_sample_efficiency, measurement_cost
 from lnvar.estimator import sd_k_hat, var_k_hat
 from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import (
-    BUDGET_ENV_VAR,
+    DEFAULT_CV_VALUES,
+    DEFAULT_N_VALUES,
+    DEFAULT_RUNS_CAP,
     GridConfig,
     RUNS_NUMERATOR,
     SimulationCell,
@@ -284,7 +286,9 @@ class TestRunCell:
 
 class TestGridConfig:
     def test_default_layout(self):
-        cfg = GridConfig.default()
+        cfg = GridConfig(
+            n_values=DEFAULT_N_VALUES, cv_values=DEFAULT_CV_VALUES, runs_cap=DEFAULT_RUNS_CAP
+        )
         assert cfg.n_values == (2, 10, 100)
         assert cfg.cv_values == (0.1, 0.5, 1.0)
         assert cfg.runs_cap == 10**6
