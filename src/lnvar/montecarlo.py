@@ -57,12 +57,13 @@ RUNS_NUMERATOR = 10**7
 DEFAULT_MASTER_SEED = 1729
 # draws per sampling step (_CHUNK_ELEMS // n runs of n draws) and runs per reduction
 # block, at least the 1024 runs that set the centre; streams and exact sums split
-# freely, so neither changes the bytes.  Peak RSS of default `lnvar simulate`, 2 threads
-# (x86-64, Python 3.11, numpy 2.4, medians of 16 runs), at chunk/block 1 << 15/17: 42.0 MB;
-# 12/17: 40.6 MB, +75-93% wall; 16/17: 44.4 MB; 15/15: 39.3 MB; 15/20: 55.1 MB; the other
-# wall times moved less than they spread from run to run.
+# freely, so neither changes the bytes.  3 << 14 gives each cv of a three-cv grid one
+# ExactSum chunk per block.  Peak RSS of default `lnvar simulate`, 2 threads (x86-64,
+# Python 3.11, numpy 2.4, medians of 6 `bench/run.py --workload grid` runs), at chunk/block
+# 1 << 15 / 3 << 14: 38.9 MB; 15/16: 39.1 MB; 15/17: 40.1 MB; 16 / 3 << 14: 40.1 MB;
+# 14 / 3 << 14: 38.3 MB, +12% cpu_s and wall_s; the other times moved within their spread.
 _CHUNK_ELEMS = 1 << 15
-_BLOCK_RUNS = 1 << 17
+_BLOCK_RUNS = 3 << 14
 
 # the default grid, `lnvar simulate` without options: runs = min(1e6, floor(1e7 / (n - 1)))
 DEFAULT_N_VALUES = (2, 10, 100)
@@ -152,6 +153,23 @@ def _check_population(cv: float, mu_y: float) -> float:
     return float(cv)
 
 
+def _row_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sums of x's rows into out, bit for bit np.sum(x, axis=-1, out=out): below 16
+    columns numpy adds a row in order, or from 8 as ((x0 + x1) + (x2 + x3)) + ((x4 + x5) +
+    (x6 + x7)) and then the rest in order, and column adds in that order ran 2-24x faster
+    than its reduction along a step's rows (numpy 2.4, x86-64); from 16, no faster."""
+    cols = x.T
+    if len(cols) >= 16:
+        return np.sum(x, axis=-1, out=out)
+    np.add(cols[0], cols[1], out=out)
+    if len(cols) >= 8:
+        out += cols[2] + cols[3]
+        out += (cols[4] + cols[5]) + (cols[6] + cols[7])
+    for col in cols[8 if len(cols) >= 8 else 2 :]:
+        out += col
+    return out
+
+
 def run_cell(
     n: int, cv: float | Sequence[float], runs: int, seed: int, mu_y: float = 0.0
 ) -> SimulationCell | list[SimulationCell]:
@@ -193,7 +211,7 @@ def run_cell(
     blocks = np.empty((len(cvs), min(runs, max(1024, _BLOCK_RUNS // len(cvs)))))
     rows_per_draw = max(1, _CHUNK_ELEMS // n)
     z = np.empty((min(rows_per_draw, blocks.shape[1]), n))
-    xs, sums = np.empty((2, *z.shape)), np.empty((2, z.shape[0]))  # a step's x and 1/x, row sums
+    xs, sums = np.empty(z.shape), np.empty(z.shape[0])  # a step's x, then 1/x; sums of 1/x
     sum_k, sum_sq, centres = [ExactSum()] * len(cvs), [ExactSum()] * len(cvs), [0.0] * len(cvs)
 
     with np.errstate(all="ignore"):  # numpy does not warn of an inf or nan refused below
@@ -201,18 +219,17 @@ def run_cell(
             size = min(blocks.shape[1], runs - start)
             for row in range(0, size, rows_per_draw):
                 rows = min(rows_per_draw, size - row)
-                z_step, x, s = rng.standard_normal(out=z[:rows]), xs[:, :rows], sums[:, :rows]
-                for k_hat, sigma in zip(blocks, sigmas):
-                    # z * sigma + mu_y is rng.normal(mu_y, sigma) bit for bit
-                    np.add(np.multiply(z_step, sigma, out=x[0]), mu_y, out=x[0])
-                    np.divide(1.0, np.exp(x[0], out=x[0]), out=x[1])
-                    if n == 2:  # one add per row, much faster than a reduction along rows
-                        np.add(x[..., 0], x[..., 1], out=s)
-                    else:
-                        np.sum(x, axis=2, out=s)
-                    np.multiply(kn_from_sums(*s, n), n / (n - 1.0), out=k_hat[row : row + rows])
+                z_step, x, s = rng.standard_normal(out=z[:rows]), xs[:rows], sums[:rows]
+                step = blocks[:, row : row + rows]
+                for k_hat, sigma in zip(step, sigmas):
+                    # z * sigma + mu_y is rng.normal(mu_y, sigma) bit for bit; k_hat holds
+                    # the sums of x until it holds the estimates
+                    np.exp(np.add(np.multiply(z_step, sigma, out=x), mu_y, out=x), out=x)
+                    _row_sums(x, k_hat)
+                    _row_sums(np.divide(1.0, x, out=x), s)
+                    np.multiply(kn_from_sums(k_hat, s, n, out=k_hat), n / (n - 1.0), out=k_hat)
                 # one test per step for all cvs: a test per cv cost 8% more grid CPU
-                finite = np.isfinite(blocks[:, row : row + rows])
+                finite = np.isfinite(step)
                 if not finite.all():
                     raise DomainError(
                         f"mu_y={mu_y:g}, cv={cvs[finite.all(axis=1).argmin()]:g}: the draws or "

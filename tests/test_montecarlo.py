@@ -67,6 +67,16 @@ def _estimates(n, cv, runs, seed):
     return kn_from_sums(x.sum(axis=1), (1.0 / x).sum(axis=1), n) * (n / (n - 1.0))
 
 
+def _traced_peak(f, *args):
+    """The peak of the memory tracemalloc traces while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _within_ulps_of_exact_sd(sd, estimates, ulps):
     """Whether sd is within ulps ulp of the exact sample sd of estimates, on
     the integers m * 2**53 of their frexp mantissas."""
@@ -85,6 +95,17 @@ def _within_ulps_of_exact_sd(sd, estimates, ulps):
 
     step = ulps * math.ulp(sd)
     return square_vs_var(sd - step) <= 0 <= square_vs_var(sd + step)
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_equals_numpys_sum_bit_for_bit(self, n):
+        # pins numpy's summation order along a row, on which the column adds rely
+        rng = np.random.default_rng(n)
+        for rows in (1, 3, 101, 4097):
+            x = rng.lognormal(0.0, 3.0, size=(rows, n))
+            got = montecarlo._row_sums(x, np.empty(rows))
+            assert got.tobytes() == np.sum(x, axis=-1).tobytes()
 
 
 class TestRunCell:
@@ -185,25 +206,23 @@ class TestRunCell:
     def test_cells_do_not_depend_on_the_block_size(self, monkeypatch):
         specs = [(2, 0.5, 3 * 2**16 + 7, 5), (7, 1.0, 2**17 + 1, 6), (100, 0.1, 40_000, 7)]
         cells = [run_cell(*spec) for spec in specs]
-        monkeypatch.setattr(montecarlo, "_BLOCK_RUNS", 2**15)
+        monkeypatch.setattr(montecarlo, "_BLOCK_RUNS", montecarlo._BLOCK_RUNS // 4)
         assert [run_cell(*spec) for spec in specs] == cells
 
     def test_memory_is_flat_in_runs(self):
-        def peak(runs):
-            tracemalloc.start()
-            try:
-                run_cell(2, 0.5, runs, 3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small = peak(2**20)
+        small = _traced_peak(run_cell, 2, 0.5, 2**20, 3)
         assert small <= 4 * 2**20
-        assert peak(2**22) <= small + 2**19
+        assert _traced_peak(run_cell, 2, 0.5, 2**22, 3) <= small + 2**19
+
+    @pytest.mark.parametrize("n, mib", [(2, 2.4), (10, 1.45), (100, 1.42)])
+    def test_working_set_of_three_cvs(self, n, mib):
+        # about 10% above the traced peaks of one x buffer, k_hat formed in its block, and
+        # 2**14-value exact-sum chunks (2.20, 1.31 and 1.29 MiB; numpy 2.4)
+        assert _traced_peak(run_cell, n, (0.1, 0.5, 1.0), 2**18, 3) <= mib * 2**20
 
     @pytest.mark.parametrize("n", [2, 3, 10, 40])
     def test_a_sequence_of_cvs_gives_each_cv_its_cell(self, n):
-        # past one per-cv block (2**17 // 3 runs), and again as a one-element list
+        # past one per-cv block (_BLOCK_RUNS // 3 runs), and again as a one-element list
         cvs, runs = [0.1, 1.9, 0.7], 2**17 + 5
         assert run_cell(n, cvs, runs, 13) == [run_cell(n, cv, runs, 13) for cv in cvs]
         assert run_cell(n, (0.7,), 3000, 13) == [run_cell(n, 0.7, 3000, 13)]
