@@ -213,7 +213,9 @@ def _finite_floats(rng, size):
 
 class TestExactSum:
     @pytest.mark.parametrize(
-        "size", [1, 2, estimator._BLOCK - 1, estimator._BLOCK, estimator._BLOCK + 1]
+        "size",
+        [1, 2]
+        + [blocks * estimator._BLOCK + d for blocks in (1, 2) for d in (-1, 0, 1)],
     )
     def test_equals_fsum_across_the_float_range(self, size):
         rng = np.random.default_rng(size)
