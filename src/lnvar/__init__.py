@@ -39,7 +39,6 @@ from .model import (
     sample,
 )
 from .montecarlo import (
-    GridConfig,
     SimulationCell,
     derive_cell_seed,
     efficiency_curve,
@@ -89,7 +88,6 @@ __all__ = [
     "brute_force_class_counts",
     "run_verification",
     "SimulationCell",
-    "GridConfig",
     "resolve_runs",
     "derive_cell_seed",
     "run_cell",

@@ -29,7 +29,6 @@ from .montecarlo import (
     DEFAULT_MASTER_SEED,
     DEFAULT_N_VALUES,
     DEFAULT_RUNS_CAP,
-    GridConfig,
     SimulationCell,
     efficiency_curve,
     run_grid,
@@ -298,19 +297,16 @@ def _format_lines(x: np.ndarray) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = GridConfig(
-        n_values=_parse_list(args.n, "--n", int),
-        cv_values=_parse_list(args.cv, "--cv"),
-        master_seed=args.seed,
-        runs_override=args.runs,
-        runs_cap=None if args.runs_cap == 0 else args.runs_cap,
-        mu_y=args.mu_y,
-    )
-    cells = run_grid(cfg)
+    config = {
+        "n_values": _parse_list(args.n, "--n", int),
+        "cv_values": _parse_list(args.cv, "--cv"),
+        "runs_override": args.runs,
+        "runs_cap": None if args.runs_cap == 0 else args.runs_cap,
+        "mu_y": args.mu_y,
+    }
+    cells = run_grid(master_seed=args.seed, **config)
     _write_text(args.output, cells_to_csv(cells))
-    config = dataclasses.asdict(cfg)
-    master_seed = config.pop("master_seed")
-    _emit_manifest(args.output, "simulate", config, master_seed)
+    _emit_manifest(args.output, "simulate", config, args.seed)
     return EXIT_OK
 
 

@@ -142,11 +142,6 @@ class ExactSum:
         except OverflowError:
             raise OverflowError(f"{quantity} overflows a float") from None
 
-    def checked(self, quantity: str) -> "ExactSum":
-        """self, or OverflowError naming quantity when the sum is beyond the float range."""
-        self.value(quantity)
-        return self
-
 
 def two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hi = fl(a * b) and lo with hi + lo == a * b exactly, elementwise: Dekker's product
@@ -260,22 +255,24 @@ class SampleAccumulator:
         if xs.size == 0:
             return
         check_support(xs)
-        sx = (self._sx + ExactSum.of(xs)).checked("sum_x")
-        sinv = (self._sinv + ExactSum.of(1.0 / xs)).checked("sum_inv_x")
         m, e = np.frexp(xs)
-        sx2 = self._sx2 + ExactSum.of(np.concatenate(two_product(m, m)), np.tile(2 * e, 2))
-        self._sx, self._sinv, self._sx2 = sx, sinv, sx2
-        self.n += xs.size
+        sx2 = ExactSum.of(np.concatenate(two_product(m, m)), np.tile(2 * e, 2))
+        self._add(xs.size, ExactSum.of(xs), ExactSum.of(1.0 / xs), sx2)
 
     def merge(self, other: "SampleAccumulator") -> "SampleAccumulator":
         """Component-wise combination; commutative, with the empty accumulator as
         identity, and exactly associative."""
         out = SampleAccumulator()
-        out.n = self.n + other.n
-        out._sx = (self._sx + other._sx).checked("sum_x")
-        out._sinv = (self._sinv + other._sinv).checked("sum_inv_x")
-        out._sx2 = self._sx2 + other._sx2
+        out._add(self.n, self._sx, self._sinv, self._sx2)
+        out._add(other.n, other._sx, other._sinv, other._sx2)
         return out
+
+    def _add(self, n: int, sx: ExactSum, sinv: ExactSum, sx2: ExactSum) -> None:
+        """Add n values' sums to self's, all or none: OverflowError, leaving self as it
+        was, when the new sum_x or sum_inv_x is beyond the float range."""
+        sx, sinv = self._sx + sx, self._sinv + sinv
+        sx.value("sum_x"), sinv.value("sum_inv_x")
+        self.n, self._sx, self._sinv, self._sx2 = self.n + n, sx, sinv, self._sx2 + sx2
 
     def _require(self, min_n: int) -> None:
         if self.n == 0:

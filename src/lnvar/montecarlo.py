@@ -20,7 +20,6 @@ while sampling), so the results do not depend on the thread count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import warnings
@@ -42,7 +41,6 @@ from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
 
 __all__ = [
     "SimulationCell",
-    "GridConfig",
     "resolve_runs",
     "derive_cell_seed",
     "run_cell",
@@ -92,42 +90,17 @@ class SimulationCell:
     se_mean: float
 
 
-@dataclass
-class GridConfig:
-    """A batch of cells: the cross product of n_values and cv_values.
-
-    runs per cell defaults to floor(RUNS_NUMERATOR / (n - 1)), clipped to
-    runs_cap when one is set; runs_override replaces the rule entirely.
-    """
-
-    n_values: Sequence[int]
-    cv_values: Sequence[float]
-    master_seed: int = DEFAULT_MASTER_SEED
-    runs_override: Optional[int] = None
-    runs_cap: Optional[int] = None
-    mu_y: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.n_values = tuple(check_int(n, "n", 2) for n in self.n_values)
-        self.cv_values = tuple(_check_population(cv, self.mu_y) for cv in self.cv_values)
-        if not self.n_values or not self.cv_values:
-            raise DomainError("n_values and cv_values must be nonempty")
-        self.master_seed = check_int(self.master_seed, "master_seed", 0)
-        if self.runs_override is not None:
-            self.runs_override = check_int(self.runs_override, "runs_override", 2)
-        if self.runs_cap is not None:
-            self.runs_cap = check_int(self.runs_cap, "runs_cap", 2)
-
-
 def resolve_runs(
     n: int, runs_override: Optional[int] = None, runs_cap: Optional[int] = None
 ) -> int:
     """Runs for a sample size n under the default rule, a cap, or an override."""
     n = check_int(n, "n", 2)
+    if runs_override is not None:
+        runs_override = check_int(runs_override, "runs_override", 2)
     if runs_cap is not None:
         runs_cap = check_int(runs_cap, "runs_cap", 2)
     if runs_override is not None:
-        return check_int(runs_override, "runs_override", 2)
+        return runs_override
     runs = RUNS_NUMERATOR // (n - 1)
     return runs if runs_cap is None else min(runs, runs_cap)
 
@@ -187,7 +160,7 @@ def run_cell(
     step; ExactSum's own, naming no cv, if only a square about the centre overflows.
     """
     n = check_int(n, "n", 2)
-    cvs = [_check_population(c, mu_y) for c in ([cv] if isinstance(cv, numbers.Number) else cv)]
+    cvs = [_check_population(c, mu_y) for c in ([cv] if np.ndim(cv) == 0 else cv)]
     if not cvs:
         raise DomainError("cv must be a number or a nonempty sequence of numbers")
     runs = check_int(runs, "runs", 2)
@@ -257,7 +230,7 @@ def run_cell(
             n=n, cv=c, runs=runs, seed=seed, mean_khat=s_k.value("mean_khat") / runs, sd_khat=sd,
             pred_mean=c * c, pred_sd=sd_k_hat(n, c * c), se_mean=sd / math.sqrt(runs),
         ))
-    return cells[0] if isinstance(cv, numbers.Number) else cells
+    return cells[0] if np.ndim(cv) == 0 else cells
 
 
 def _available_cpus() -> int:
@@ -268,26 +241,40 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_grid(cfg: GridConfig) -> list[SimulationCell]:
+def run_grid(
+    n_values: Sequence[int],
+    cv_values: Sequence[float],
+    master_seed: int = DEFAULT_MASTER_SEED,
+    runs_override: Optional[int] = None,
+    runs_cap: Optional[int] = None,
+    mu_y: float = 0.0,
+) -> list[SimulationCell]:
     """Run every (n, cv) cell of the grid, row-major over n then cv.
 
-    Each n is one run_cell call with the grid's cvs, on the seed
-    derive_cell_seed(master_seed, index of n), so its cv cells share their draws.
-    The calls are mapped onto up to one thread per available CPU; run_cell is looked
-    up when run_grid runs, so a patched montecarlo.run_cell is the one mapped.  Each n
-    has its own stream, so the results are the same for any thread count, and its own
-    LNVAR_MAX_DRAWS budget.  A failure raises the error of the lowest-index failing n,
-    cancels the sample sizes not yet started, and returns no partial results.
+    runs per cell defaults to floor(RUNS_NUMERATOR / (n - 1)), clipped to runs_cap when
+    one is set; runs_override replaces the rule entirely.  Every argument is checked before
+    any cell runs.  The parameters are named as a simulate manifest m's config keys, so
+    run_grid(master_seed=m["master_seed"], **m["config"]) rebuilds its grid.  Each n is one
+    run_cell call with the grid's cvs, on the seed derive_cell_seed(master_seed, index of n),
+    so its cv cells share their draws.  The calls are mapped onto up to one thread per
+    available CPU; run_cell is looked up when run_grid runs, so a patched montecarlo.run_cell
+    is the one mapped.  Each n has its own stream, so the results are the same for any
+    thread count, and its own LNVAR_MAX_DRAWS budget.  A failure raises the error of the
+    lowest-index failing n, cancels the sample sizes not yet started, and returns no
+    partial results.
     """
     # imported here, not at the top, so that `import lnvar` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    ns = cfg.n_values
-    runs = [resolve_runs(n, cfg.runs_override, cfg.runs_cap) for n in ns]
-    seeds = [derive_cell_seed(cfg.master_seed, i) for i in range(len(ns))]
+    ns = [check_int(n, "n", 2) for n in n_values]
+    cvs = tuple(_check_population(cv, mu_y) for cv in cv_values)
+    if not ns or not cvs:
+        raise DomainError("n_values and cv_values must be nonempty")
+    seeds = [derive_cell_seed(master_seed, i) for i in range(len(ns))]
+    runs = [resolve_runs(n, runs_override, runs_cap) for n in ns]
     pool = ThreadPoolExecutor(max_workers=min(len(ns), _available_cpus()))
     try:
-        rows = pool.map(run_cell, ns, [cfg.cv_values] * len(ns), runs, seeds, [cfg.mu_y] * len(ns))
+        rows = pool.map(run_cell, ns, [cvs] * len(ns), runs, seeds, [mu_y] * len(ns))
         return [cell for row in rows for cell in row]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -13,7 +13,7 @@ import pytest
 
 from lnvar.cli import cells_to_csv, main
 from lnvar.estimator import expected_k_n, var_k_n
-from lnvar.montecarlo import DEFAULT_CV_VALUES, DEFAULT_N_VALUES, DEFAULT_RUNS_CAP, GridConfig
+from lnvar.montecarlo import DEFAULT_CV_VALUES, DEFAULT_N_VALUES, DEFAULT_RUNS_CAP
 from lnvar.montecarlo import efficiency_curve, run_grid
 from lnvar.oracle import (
     TermKind,
@@ -34,11 +34,8 @@ def _report(num, name):
 
 @pytest.fixture(scope="module")
 def default_grid():
-    cfg = GridConfig(
-        n_values=DEFAULT_N_VALUES, cv_values=DEFAULT_CV_VALUES, runs_cap=DEFAULT_RUNS_CAP
-    )
     start = time.perf_counter()
-    cells = run_grid(cfg)
+    cells = run_grid(DEFAULT_N_VALUES, DEFAULT_CV_VALUES, runs_cap=DEFAULT_RUNS_CAP)
     return cells, time.perf_counter() - start
 
 

@@ -33,7 +33,7 @@ from lnvar.cli import (
 from lnvar.estimator import sd_k_hat
 from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import DEFAULT_CV_VALUES, DEFAULT_MASTER_SEED, DEFAULT_N_VALUES
-from lnvar.montecarlo import DEFAULT_RUNS_CAP, GridConfig, run_grid
+from lnvar.montecarlo import DEFAULT_RUNS_CAP, run_grid
 
 from _properties import rel_diff
 
@@ -447,10 +447,7 @@ class TestSimulate:
     def test_csv_parses_back_losslessly(self, tmp_path):
         out = tmp_path / "grid.csv"
         main(self.FLAGS + ["-o", str(out)])
-        cfg = GridConfig(
-            n_values=[2], cv_values=[0.5], master_seed=7, runs_override=1000
-        )
-        cell = run_grid(cfg)[0]
+        cell = run_grid([2], [0.5], master_seed=7, runs_override=1000)[0]
         header, row = out.read_text().splitlines()
         values = dict(zip(header.split(","), row.split(",")))
         assert float(values["mean_khat"]) == cell.mean_khat
@@ -465,8 +462,8 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["master_seed"] == 7
         assert "timestamp" in manifest and "tool_version" in manifest
-        cfg = GridConfig(master_seed=manifest["master_seed"], **manifest["config"])
-        assert cells_to_csv(run_grid(cfg)) == out.read_text()
+        cells = run_grid(master_seed=manifest["master_seed"], **manifest["config"])
+        assert cells_to_csv(cells) == out.read_text()
 
     def test_budget_refusal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LNVAR_MAX_DRAWS", "100")
@@ -787,7 +784,7 @@ class TestTopLevel:
         proc = self.run_console("simulate", "--n", "2", "--cv", "3", "--runs", "100")
         assert proc.returncode == EXIT_OK
         with pytest.warns(RuntimeWarning, match="cv=3 > 2"):
-            cells = run_grid(GridConfig(n_values=[2], cv_values=[3.0], runs_override=100))
+            cells = run_grid([2], [3.0], runs_override=100)
         assert proc.stdout == cells_to_csv(cells)
         warning, manifest = proc.stderr.splitlines()
         assert warning.startswith("warning: cv=3 > 2: the estimator's variance grows")

@@ -15,9 +15,9 @@ from lnvar.estimator import sd_k_hat, var_k_hat
 from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import (
     DEFAULT_CV_VALUES,
+    DEFAULT_MASTER_SEED,
     DEFAULT_N_VALUES,
     DEFAULT_RUNS_CAP,
-    GridConfig,
     RUNS_NUMERATOR,
     SimulationCell,
     derive_cell_seed,
@@ -229,6 +229,9 @@ class TestRunCell:
         # any number is one cv, a Decimal too
         assert run_cell(n, Decimal("0.7"), 3000, 13) == run_cell(n, 0.7, 3000, 13)
 
+    def test_a_zero_dimensional_array_is_one_cv(self):
+        assert run_cell(2, np.array(0.5), 100, 1) == run_cell(2, 0.5, 100, 1)
+
     def test_a_sequence_of_cvs_draws_once_and_warns_per_cv(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10000")
         with warnings.catch_warnings(record=True) as caught:
@@ -296,41 +299,52 @@ class TestRunCell:
         with pytest.raises(DomainError, match=f"^{name} must be"):
             run_cell(2, cv, 10, 1, mu_y=mu_y)
         with pytest.raises(DomainError, match=f"^{name} must be"):
-            GridConfig(n_values=[2], cv_values=[cv], mu_y=mu_y)
+            run_grid([2], [cv], mu_y=mu_y)
 
     def test_population_range_edges_are_accepted(self):
-        GridConfig(n_values=[2], cv_values=[montecarlo._CV_MAX], mu_y=montecarlo._MU_Y_MAX)
-        GridConfig(n_values=[2], cv_values=[0.5], mu_y=montecarlo._MU_Y_MIN)
+        # through the check run_grid and run_cell make; sampling there would overflow
+        assert montecarlo._check_population(montecarlo._CV_MAX, montecarlo._MU_Y_MAX) == (
+            montecarlo._CV_MAX
+        )
+        assert montecarlo._check_population(0.5, montecarlo._MU_Y_MIN) == 0.5
 
 
 class TestGridConfig:
     def test_default_layout(self):
-        cfg = GridConfig(
-            n_values=DEFAULT_N_VALUES, cv_values=DEFAULT_CV_VALUES, runs_cap=DEFAULT_RUNS_CAP
-        )
-        assert cfg.n_values == (2, 10, 100)
-        assert cfg.cv_values == (0.1, 0.5, 1.0)
-        assert cfg.runs_cap == 10**6
-        assert cfg.runs_override is None
-        assert cfg.mu_y == 0.0
+        assert DEFAULT_N_VALUES == (2, 10, 100)
+        assert DEFAULT_CV_VALUES == (0.1, 0.5, 1.0)
+        assert DEFAULT_RUNS_CAP == 10**6
+        assert DEFAULT_MASTER_SEED == 1729
+        # run_grid's defaults: master seed 1729, mu_y 0
+        (cell,) = run_grid([2], [0.5], runs_override=2)
+        assert cell.seed == derive_cell_seed(1729, 0)
+        assert cell == run_cell(2, 0.5, 2, cell.seed, mu_y=0.0)
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            GridConfig(n_values=[], cv_values=[0.5])
-        with pytest.raises(DomainError):
-            GridConfig(n_values=[1], cv_values=[0.5])
-        with pytest.raises(DomainError):
-            GridConfig(n_values=[4], cv_values=[-0.5])
-        with pytest.raises(DomainError):
-            GridConfig(n_values=[4], cv_values=[0.5], master_seed=-1)
+    def test_validation(self, monkeypatch):
+        # each refused before any cell runs
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(montecarlo, "run_cell", no_cell)
+        with pytest.raises(DomainError, match="^n_values and cv_values must be nonempty$"):
+            run_grid([], [0.5])
+        with pytest.raises(DomainError, match="^n must be >= 2, got 1$"):
+            run_grid([1], [0.5])
+        with pytest.raises(DomainError, match="^cv must be positive and finite, got -0.5$"):
+            run_grid([4], [-0.5])
+        with pytest.raises(DomainError, match="^master_seed must be >= 0, got -1$"):
+            run_grid([4], [0.5], master_seed=-1)
+        with pytest.raises(DomainError, match="^runs_override must be >= 2, got 1$"):
+            run_grid([4], [0.5], runs_override=1)
+        with pytest.raises(DomainError, match="^runs_cap must be >= 2, got 1$"):
+            run_grid([4], [0.5], runs_cap=1)
+        with pytest.raises(DomainError, match="^runs_override must be >= 2, got 1$"):
+            run_grid([4], [0.5], runs_override=1, runs_cap=1)
 
 
 class TestRunGrid:
     def test_one_cell_per_pair_with_derived_seeds(self):
-        cfg = GridConfig(
-            n_values=[2, 3], cv_values=[0.2, 0.7], master_seed=5, runs_override=200
-        )
-        cells = run_grid(cfg)
+        cells = run_grid([2, 3], [0.2, 0.7], master_seed=5, runs_override=200)
         assert [(c.n, c.cv) for c in cells] == [
             (2, 0.2),
             (2, 0.7),
@@ -343,19 +357,17 @@ class TestRunGrid:
         assert all(c.runs == 200 for c in cells)
 
     def test_runs_rule_applies_per_n(self):
-        cfg = GridConfig(n_values=[11], cv_values=[0.5], runs_cap=500)
-        cells = run_grid(cfg)
+        cells = run_grid([11], [0.5], runs_cap=500)
         assert cells[0].runs == 500
         assert resolve_runs(11) == 10**6
 
     def test_budget_propagates(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "100")
-        cfg = GridConfig(n_values=[10], cv_values=[0.5], runs_override=1000)
         with pytest.raises(BudgetExceededError):
-            run_grid(cfg)
+            run_grid([10], [0.5], runs_override=1000)
 
     def test_uncapped_rule_runs_ten_million_at_n2(self):
-        cells = run_grid(GridConfig(n_values=[2], cv_values=[0.1]))
+        cells = run_grid([2], [0.1])
         assert len(cells) == 1
         cell = cells[0]
         assert cell.runs == 10**7
@@ -365,19 +377,17 @@ class TestRunGrid:
 class TestGridWorkers:
     """run_grid's threads: results and errors must not depend on their count."""
 
-    CFG = GridConfig(
-        n_values=[2, 5, 30], cv_values=[0.2, 0.6, 1.1], master_seed=3, runs_override=3000
-    )
+    GRID = dict(n_values=(2, 5, 30), cv_values=(0.2, 0.6, 1.1), master_seed=3, runs_override=3000)
 
     def test_cells_match_row_major_loop(self, monkeypatch):
         reference = [
             run_cell(n, cv, 3000, derive_cell_seed(3, index))
-            for index, n in enumerate(self.CFG.n_values)
-            for cv in self.CFG.cv_values
+            for index, n in enumerate(self.GRID["n_values"])
+            for cv in self.GRID["cv_values"]
         ]
         for workers in (1, 2, 9):
             monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
-            assert run_grid(self.CFG) == reference
+            assert run_grid(**self.GRID) == reference
 
     def test_cells_go_through_module_run_cell(self, monkeypatch):
         # a patched montecarlo.run_cell is what the workers call, once per n with every cv
@@ -389,10 +399,10 @@ class TestGridWorkers:
 
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 9)
         monkeypatch.setattr(montecarlo, "run_cell", recording)
-        cells = run_grid(self.CFG)
+        cells = run_grid(**self.GRID)
         assert sorted(calls) == [
-            (n, self.CFG.cv_values, 3000, derive_cell_seed(3, index))
-            for index, n in enumerate(self.CFG.n_values)
+            (n, self.GRID["cv_values"], 3000, derive_cell_seed(3, index))
+            for index, n in enumerate(self.GRID["n_values"])
         ]
         assert [c.seed for c in cells] == [seed for *_, seed in sorted(calls) for _ in range(3)]
 
@@ -400,11 +410,10 @@ class TestGridWorkers:
     def test_lowest_failing_cell_raises(self, monkeypatch, workers):
         # cells 1 and 2 are over the budget of 3000 draws: 40 x 100 and 50 x 100
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
-        cfg = GridConfig(n_values=[2, 40, 50, 3], cv_values=[0.5], runs_override=100)
         monkeypatch.setenv(BUDGET_ENV_VAR, "3000")
         threads_before = threading.active_count()
         with pytest.raises(BudgetExceededError) as exc_info:
-            run_grid(cfg)
+            run_grid([2, 40, 50, 3], [0.5], runs_override=100)
         assert (exc_info.value.cost, exc_info.value.budget) == (4000, 3000)
         assert threading.active_count() == threads_before
 
@@ -418,7 +427,7 @@ def test_sd_agreement_in_heavy_tail_band():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: GridConfig(n_values=[2.7], cv_values=[0.5]), "n must be an integer"),
+        (lambda: run_grid([2.7], [0.5]), "n must be an integer"),
         (lambda: resolve_runs(2.5), "n must be an integer"),
         (lambda: expected_k_n(2.5, 1.0), "n must be an integer"),
         (lambda: var_k_hat(2.5, 1.0), "n must be an integer"),
@@ -461,12 +470,13 @@ def test_a_numpy_count_acts_as_the_equal_python_int(kind):
     assert type(measurement_cost(kind(7), "conventional")) is int
     params = params_from_gk(1.0, 0.5)
     assert np.array_equal(sample(params, kind(7), kind(7)), sample(params, 7, 7))
-    cfg = GridConfig(
-        n_values=[kind(2)], cv_values=[np.float64(0.5)], master_seed=kind(3),
-        runs_override=kind(10), runs_cap=kind(20),
+    (grid_cell,) = run_grid(
+        [kind(2)], [np.float64(0.5)], master_seed=kind(3), runs_override=kind(10),
+        runs_cap=kind(20),
     )
-    stored = (*cfg.n_values, *cfg.cv_values, cfg.master_seed, cfg.runs_override, cfg.runs_cap)
-    assert [type(v) for v in stored] == [int, float, int, int, int]
+    assert grid_cell == run_cell(2, 0.5, 10, derive_cell_seed(3, 0))
+    stored = (grid_cell.n, grid_cell.cv, grid_cell.runs, grid_cell.seed)
+    assert [type(v) for v in stored] == [int, float, int, int]
     assert efficiency_curve(1.0, 2.0, kind(3)) == efficiency_curve(1.0, 2.0, 3)
     assert derive_cell_seed(kind(3), kind(0)) == derive_cell_seed(3, 0)
     assert brute_force_class_counts(kind(3)) == brute_force_class_counts(3)
