@@ -320,21 +320,16 @@ def _cmd_efficiency(args: argparse.Namespace) -> int:
         raise _UsageError(f"--min must be positive, got {args.min}")
     if args.points < 2:
         raise _UsageError(f"--points must be >= 2, got {args.points}")
-    curve = efficiency_curve(args.min, args.max, args.points, args.spacing)
+    config = {
+        "sigma2_min": args.min,
+        "sigma2_max": args.max,
+        "points": args.points,
+        "spacing": args.spacing,
+    }
     lines = ["sigma2,efficiency"]
-    lines.extend(f"{fsig(s2)},{fsig(eff)}" for s2, eff in curve)
+    lines.extend(f"{fsig(s2)},{fsig(eff)}" for s2, eff in efficiency_curve(**config))
     _write_text(args.output, "\n".join(lines) + "\n")
-    _emit_manifest(
-        args.output,
-        "efficiency",
-        {
-            "sigma2_min": args.min,
-            "sigma2_max": args.max,
-            "points": args.points,
-            "spacing": args.spacing,
-        },
-        None,
-    )
+    _emit_manifest(args.output, "efficiency", config, None)
     return EXIT_OK
 
 

@@ -20,12 +20,13 @@ while sampling), so the results do not depend on the thread count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -144,10 +145,11 @@ def _row_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def run_cell(
-    n: int, cv: float | Sequence[float], runs: int, seed: int, mu_y: float = 0.0
+    n: int, cv: float | Iterable[float], runs: int, seed: int, mu_y: float = 0.0
 ) -> SimulationCell | list[SimulationCell]:
-    """Run one simulation cell and summarize it; for a sequence of cvs, a list of cells.
+    """Run one simulation cell and summarize it; for an iterable of cvs, a list of cells.
 
+    A number (numbers.Number) or a 0-d array is one cv; any other iterable is read once.
     Each run's estimate is the bias-corrected ratio k_hat; a cell reports
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
     analytic predictions cv^2 and sd_k_hat(n, cv^2).  Every cv reads the same
@@ -160,7 +162,8 @@ def run_cell(
     step; ExactSum's own, naming no cv, if only a square about the centre overflows.
     """
     n = check_int(n, "n", 2)
-    cvs = [_check_population(c, mu_y) for c in ([cv] if np.ndim(cv) == 0 else cv)]
+    one_cv = isinstance(cv, numbers.Number) or (isinstance(cv, np.ndarray) and cv.ndim == 0)
+    cvs = [_check_population(c, mu_y) for c in ([cv] if one_cv else cv)]
     if not cvs:
         raise DomainError("cv must be a number or a nonempty sequence of numbers")
     runs = check_int(runs, "runs", 2)
@@ -230,7 +233,7 @@ def run_cell(
             n=n, cv=c, runs=runs, seed=seed, mean_khat=s_k.value("mean_khat") / runs, sd_khat=sd,
             pred_mean=c * c, pred_sd=sd_k_hat(n, c * c), se_mean=sd / math.sqrt(runs),
         ))
-    return cells[0] if np.ndim(cv) == 0 else cells
+    return cells[0] if one_cv else cells
 
 
 def _available_cpus() -> int:

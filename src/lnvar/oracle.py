@@ -161,6 +161,12 @@ class CheckGroup:
     def passed(self) -> bool:
         return not self.failures
 
+    def check(self, got: object, want: object, failure: str) -> None:
+        """Count one check; if got != want, record failure.format(got=got, want=want)."""
+        self.checks += 1
+        if got != want:
+            self.failures.append(failure.format(got=got, want=want))
+
 
 @dataclass
 class VerificationReport:
@@ -189,42 +195,26 @@ def run_verification(
     if not omegas:
         raise DomainError("omegas must be nonempty")
 
-    counts_group = CheckGroup("class counts vs brute-force enumeration")
+    counts = CheckGroup("class counts vs brute-force enumeration")
     for n in range(2, min(max_n, DEFAULT_BRUTE_FORCE_LIMIT) + 1):
         enumerated = brute_force_class_counts(n)
         for kind in TermKind:
-            counts_group.checks += 1
-            expected = term_multiplicity(kind, n)
-            if expected != enumerated[kind]:
-                counts_group.failures.append(
-                    f"n={n} class={kind.value}: closed-form count {expected} "
-                    f"!= enumerated {enumerated[kind]}"
-                )
+            failure = f"n={n} class={kind.value}: closed-form count {{want}} != enumerated {{got}}"
+            counts.check(enumerated[kind], term_multiplicity(kind, n), failure)
 
-    totals_group = CheckGroup("multiplicity totals")
+    totals = CheckGroup("multiplicity totals")
     for n in range(2, max_n + 1):
-        totals_group.checks += 1
+        failure = f"n={n}: class counts sum to {{got}}, expected (n(n-1))^2 = {{want}}"
         total = sum(term_multiplicity(kind, n) for kind in TermKind)
-        expected = (n * (n - 1)) ** 2
-        if total != expected:
-            totals_group.failures.append(
-                f"n={n}: class counts sum to {total}, expected (n(n-1))^2 = {expected}"
-            )
+        totals.check(total, (n * (n - 1)) ** 2, failure)
 
-    groups = [counts_group, totals_group]
+    groups = [counts, totals]
     for noun, enumerated_fn, closed_form in (
-        ("mean", exact_mean_kn, expected_k_n),
-        ("variance", exact_var_kn, var_k_n),
+        ("mean", exact_mean_kn, expected_k_n), ("variance", exact_var_kn, var_k_n)
     ):
         group = CheckGroup(f"{noun} agreement")
-        for n in range(2, max_n + 1):
-            for omega in omegas:
-                group.checks += 1
-                got = enumerated_fn(n, omega)
-                want = closed_form(n, Fraction(omega) - 1)
-                if got != want:
-                    group.failures.append(
-                        f"n={n} omega={omega:g}: enumeration {noun} {got} vs closed form {want}"
-                    )
+        for n, omega in itertools.product(range(2, max_n + 1), omegas):
+            failure = f"n={n} omega={omega:g}: enumeration {noun} {{got}} vs closed form {{want}}"
+            group.check(enumerated_fn(n, omega), closed_form(n, Fraction(omega) - 1), failure)
         groups.append(group)
     return VerificationReport(groups=groups)

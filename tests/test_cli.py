@@ -33,7 +33,7 @@ from lnvar.cli import (
 from lnvar.estimator import sd_k_hat
 from lnvar.model import params_from_gk, sample
 from lnvar.montecarlo import DEFAULT_CV_VALUES, DEFAULT_MASTER_SEED, DEFAULT_N_VALUES
-from lnvar.montecarlo import DEFAULT_RUNS_CAP, run_grid
+from lnvar.montecarlo import DEFAULT_RUNS_CAP, efficiency_curve, run_grid
 
 from _properties import rel_diff
 
@@ -700,6 +700,8 @@ class TestEfficiency:
         manifest = json.loads((tmp_path / "eff.csv.manifest.json").read_text())
         assert manifest["command"] == "efficiency"
         assert manifest["config"]["points"] == 5
+        rows = [tuple(map(float, row.split(","))) for row in out.read_text().splitlines()[1:]]
+        assert efficiency_curve(**manifest["config"]) == rows
 
 
 class TestVerify:

@@ -232,6 +232,10 @@ class TestRunCell:
     def test_a_zero_dimensional_array_is_one_cv(self):
         assert run_cell(2, np.array(0.5), 100, 1) == run_cell(2, 0.5, 100, 1)
 
+    def test_any_iterable_is_read_as_the_cvs(self):
+        assert run_cell(2, (c for c in (0.5, 1.0)), 100, 1) == run_cell(2, (0.5, 1.0), 100, 1)
+        assert run_cell(2, {0.5}, 100, 1) == run_cell(2, [0.5], 100, 1)
+
     def test_a_sequence_of_cvs_draws_once_and_warns_per_cv(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "10000")
         with warnings.catch_warnings(record=True) as caught:

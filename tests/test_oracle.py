@@ -185,6 +185,50 @@ class TestVerification:
         assert not report.passed
         assert kind.value in report.first_failure
 
+    @pytest.mark.parametrize(
+        "name, fault, label, checks, first",
+        [
+            (
+                "brute_force_class_counts",
+                lambda f: lambda n: {**f(n), TermKind.SHARED_NUMERATOR: 1},
+                "class counts vs brute-force enumeration",
+                49,
+                "n=2 class=shared_numerator: closed-form count 0 != enumerated 1",
+            ),
+            (
+                # past the brute-force limit, and on the class whose covariance is 0
+                "term_multiplicity",
+                lambda f: lambda k, n: f(k, n) + (k is TermKind.DISJOINT and n == 9),
+                "multiplicity totals",
+                8,
+                "n=9: class counts sum to 5185, expected (n(n-1))^2 = 5184",
+            ),
+            (
+                "expected_k_n",
+                lambda f: lambda n, k: f(n, k) + 1,
+                "mean agreement",
+                8,
+                "n=2 omega=2: enumeration mean 1/2 vs closed form 3/2",
+            ),
+            (
+                "var_k_n",
+                lambda f: lambda n, k: f(n, k) + 1,
+                "variance agreement",
+                8,
+                "n=2 omega=2: enumeration variance 9/8 vs closed form 17/8",
+            ),
+        ],
+        ids=["counts", "totals", "mean", "variance"],
+    )
+    def test_each_group_states_its_first_failure(
+        self, monkeypatch, name, fault, label, checks, first
+    ):
+        monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+        report = run_verification(max_n=9, omegas=[2.0])
+        [group] = [g for g in report.groups if not g.passed]
+        assert (group.label, group.checks, group.failures[0]) == (label, checks, first)
+        assert report.first_failure == first
+
     def test_rejects_bad_max_n(self):
         with pytest.raises(DomainError):
             run_verification(max_n=1)
