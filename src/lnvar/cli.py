@@ -41,11 +41,12 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
 
-# estimate reads its input in blocks of about this many characters.  Larger
-# blocks save little time but raise peak RSS, because a block's lines, floats
-# and arrays are alive at once.  Peak RSS of `lnvar estimate` on a 1e6-line
-# file (x86-64, Python 3.11, numpy 2.4): 28.0 MB reading line by line,
-# 28.8 MB with 16 KiB blocks, 29.5 MB with 64 KiB and 43.5 MB with 1 MiB.
+# estimate reads its input in blocks of about this many characters (about 860 values).
+# Larger blocks fold faster, as extend pays a fixed cost for each of its three ExactSum.of
+# calls, but raise peak RSS, as a block's lines, floats and arrays are alive at once.  For
+# 1e6 wide lognormal values (x86-64, Python 3.11, numpy 2.4): folding takes 0.16-0.21 s CPU
+# in 16 KiB blocks and 0.08 s in 128 KiB, reading and folding 0.49-0.54 s and 0.42 s, and
+# `lnvar estimate` peaks at 30.4 MB and 31.9 MB; earlier, 29.5 MB at 64 KiB, 43.5 at 1 MiB.
 _BLOCK_CHARS = 16 * 1024
 
 # sample draws, checks and formats this many values at a time.  From 2^12 on, _format_lines's

@@ -6,6 +6,7 @@ import math
 import numbers
 import os
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -77,34 +78,35 @@ def check_int(value: int, name: str, minimum: int, maximum: int | None = None) -
     return value
 
 
-def check_positive(value: float, name: str, maximum: float = sys.float_info.max) -> None:
-    """DomainError unless 0 < value <= maximum, by default the largest float; ints and
-    Fractions of any size compare exactly."""
-    if not 0.0 < value < math.inf:
+def is_real(value: object) -> bool:
+    """Whether value is a numbers.Real (a bool too, as in check_int) or a Decimal but NaN."""
+    return isinstance(value, numbers.Real) or isinstance(value, Decimal) and not value.is_nan()
+
+
+def check_real(value: object, name: str, minimum: float = 0.0,
+               maximum: float = sys.float_info.max, *, positive: bool = False) -> float:
+    """value as a float; DomainError unless it is a real number (is_real) or a 0-d array of one,
+    in [minimum, maximum] unrounded, or when positive in (0, maximum] before and after rounding."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if not is_real(value):
+        raise DomainError(f"{name} must be a real number, got {_brief(value)}")
+    if positive and not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {_brief(value)}")
-    _check_at_most(value, name, maximum)
-
-
-def check_at_least(
-    value: float, name: str, minimum: float = 0.0, maximum: float = sys.float_info.max
-) -> None:
-    """DomainError unless minimum <= value <= maximum (by default, non-negative and at
-    most the largest float); compares like check_positive."""
     if not minimum <= value < math.inf:
         raise DomainError(f"{name} must be >= {minimum:g} and finite, got {_brief(value)}")
-    _check_at_most(value, name, maximum)
-
-
-def _check_at_most(value: float, name: str, maximum: float) -> None:
     if value > maximum:
         raise DomainError(f"{name} must be <= {maximum!r}, got {_brief(value)}")
+    if (real := float(value)) == 0.0 and positive:  # a Fraction or Decimal at most 2**-1075
+        raise DomainError(f"{name} rounds to 0.0 as a float, got {_brief(value)}")
+    return real
 
 
-def _brief(value: float) -> str:
-    """str(value), or for an int or Fraction longer than 40 characters its first digits."""
-    if len(text := str(value)) <= 40 or not hasattr(value, "denominator"):
+def _brief(value: object) -> str:
+    """str(value), quoted for a str; an int or Fraction over 40 characters as its first digits."""
+    text = repr(str(value)) if isinstance(value, str) else str(value)
+    if len(text) <= 40 or not hasattr(value, "denominator"):
         return text
-    from decimal import Decimal  # only for such a message
     return f"about {Decimal(value.numerator) / value.denominator:.6g}"
 
 

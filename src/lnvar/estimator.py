@@ -35,10 +35,10 @@ from .errors import (
     DomainError,
     EmptySampleError,
     SampleTooSmallError,
-    check_at_least,
     check_int,
-    check_positive,
+    check_real,
     check_support,
+    is_real,
 )
 
 __all__ = [
@@ -244,10 +244,14 @@ class SampleAccumulator:
 
         The whole block is validated, and all three new sums formed, before
         any sum changes, so a rejected block leaves the accumulator as it was.
-        A value that is not a positive float with a float reciprocal is a
-        DomainError; a sum_x or sum_inv_x beyond the float range, OverflowError.
+        A value that is not a real number (a str is not) or not a positive float with a float
+        reciprocal is a DomainError; a sum_x or sum_inv_x past the float range, OverflowError.
         Each x*x enters exactly as two_product(m, m) times 2**(2e), x = m * 2**e.
         """
+        if (xs := np.asarray(xs)).dtype.kind not in "biuf":  # str, bytes, complex or objects
+            for x in xs.ravel().tolist():
+                if not is_real(x):
+                    check_real(x, "each value of xs")  # raises, naming x
         try:
             xs = np.asarray(xs, dtype=np.float64).ravel()
         except OverflowError:  # an int or a Fraction past the largest float
@@ -343,17 +347,15 @@ class SampleAccumulator:
 
 def expected_k_n(n: int, k: float) -> float:
     """Expected value of the uncorrected relative ratio: (n-1)/n * k; exact when k is a Fraction."""
-    n = check_int(n, "n", 2)
-    check_at_least(k, "k")
-    return Fraction(n - 1, n) * (k if isinstance(k, Fraction) else float(k))
+    n, real_k = check_int(n, "n", 2), check_real(k, "k")
+    return Fraction(n - 1, n) * (k if isinstance(k, Fraction) else real_k)
 
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
     Exact when k is a Fraction; otherwise in floats, as var_k_hat is."""
-    n = check_int(n, "n", 2, sys.float_info.max)
-    check_at_least(k, "k")
-    k = k if isinstance(k, Fraction) else float(k)
+    n, real_k = check_int(n, "n", 2, sys.float_info.max), check_real(k, "k")
+    k = k if isinstance(k, Fraction) else real_k
     # a Fraction times a float k is float(Fraction) * k, a correctly rounded int / int
     return Fraction(2 * (n - 1), n * n) * k * k * (1 + k + k * k / n / 2)
 
@@ -367,9 +369,7 @@ def sd_k_n(n: int, k: float) -> float:
 
 def var_k_hat(n: int, k: float) -> float:
     """Variance of the bias-corrected ratio: 2/(n-1) k^2 (1 + k + k^2/(2n)), in floats."""
-    n = check_int(n, "n", 2, sys.float_info.max)
-    check_at_least(k, "k")
-    k = float(k)
+    n, k = check_int(n, "n", 2, sys.float_info.max), check_real(k, "k")
     return 2.0 / (n - 1) * k * k * (1.0 + k + k * k / n / 2.0)
 
 
@@ -384,7 +384,7 @@ def large_sample_efficiency(sigma2_y: float) -> float:
     Strictly decreasing in sigma2_y with limit 1 at 0+; near 0 it is about
     1 - sigma2_y.
     """
-    check_positive(sigma2_y, "sigma2_y")
+    sigma2_y = check_real(sigma2_y, "sigma2_y", positive=True)
     try:
         em = math.expm1(sigma2_y)
     except OverflowError:

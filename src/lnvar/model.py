@@ -12,9 +12,8 @@ from .errors import (
     MAX_FLOAT_ARRAY_LEN,
     DegenerateDistributionError,
     DomainError,
-    check_at_least,
     check_int,
-    check_positive,
+    check_real,
     check_support,
 )
 
@@ -31,14 +30,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LogNormalParams:
-    """Location and variance of the underlying normal (log-space) variable."""
+    """Location and variance of the underlying normal (log-space) variable, as checked floats."""
 
     mu_y: float
     sigma2_y: float
 
     def __post_init__(self) -> None:
-        check_at_least(self.mu_y, "mu_y", -sys.float_info.max)
-        check_at_least(self.sigma2_y, "sigma2_y")
+        object.__setattr__(self, "mu_y", check_real(self.mu_y, "mu_y", -sys.float_info.max))
+        object.__setattr__(self, "sigma2_y", check_real(self.sigma2_y, "sigma2_y"))
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,7 @@ def params_from_gk(g: float, k: float) -> LogNormalParams:
     Inverse of derive_moments in the (g, k) coordinates: mu = ln g,
     sigma2 = ln(1 + k).
     """
-    check_positive(g, "g")
-    check_at_least(k, "k")
+    g, k = check_real(g, "g", positive=True), check_real(k, "k")
     return LogNormalParams(mu_y=math.log(g), sigma2_y=math.log1p(k))
 
 
@@ -115,7 +113,7 @@ def pdf(x: float, p: LogNormalParams) -> float:
     """
     if p.sigma2_y == 0.0:
         raise DegenerateDistributionError("zero log-space variance has no density")
-    check_positive(x, "x")
+    x = check_real(x, "x", positive=True)
     s2 = p.sigma2_y
     t = math.log(x) - p.mu_y
     return math.exp(-(t * t) / (2.0 * s2)) / (x * math.sqrt(2.0 * math.pi * s2))

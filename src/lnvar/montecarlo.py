@@ -20,23 +20,22 @@ while sampling), so the results do not depend on the thread count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     MAX_FLOAT_ARRAY_LEN,
     DomainError,
-    check_at_least,
     check_draw_budget,
     check_int,
-    check_positive,
+    check_real,
 )
 from .estimator import ExactSum, kn_from_sums, large_sample_efficiency, sd_k_hat
 
@@ -120,11 +119,10 @@ def derive_cell_seed(master_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _check_population(cv: float, mu_y: float) -> float:
-    """cv as a float; DomainError unless cv^2 and exp(mu_y) are positive floats."""
-    check_positive(cv, "cv", _CV_MAX)  # before float(cv), which overflows on 10**400
-    check_at_least(mu_y, "mu_y", _MU_Y_MIN, _MU_Y_MAX)
-    return float(cv)
+def _check_population(cvs: Iterable[float], mu_y: float) -> tuple[tuple[float, ...], float]:
+    """cvs and mu_y as floats; DomainError unless each cv^2 and exp(mu_y) are positive floats."""
+    cvs = tuple(check_real(cv, "cv", maximum=_CV_MAX, positive=True) for cv in cvs)
+    return cvs, check_real(mu_y, "mu_y", _MU_Y_MIN, _MU_Y_MAX)
 
 
 def _row_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -149,7 +147,7 @@ def run_cell(
 ) -> SimulationCell | list[SimulationCell]:
     """Run one simulation cell and summarize it; for an iterable of cvs, a list of cells.
 
-    A number (numbers.Number) or a 0-d array is one cv; any other iterable is read once.
+    A str, bytes, 0-d array or non-iterable is one cv; any other iterable is read once.
     Each run's estimate is the bias-corrected ratio k_hat; a cell reports
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
     analytic predictions cv^2 and sd_k_hat(n, cv^2).  Every cv reads the same
@@ -162,8 +160,9 @@ def run_cell(
     step; ExactSum's own, naming no cv, if only a square about the centre overflows.
     """
     n = check_int(n, "n", 2)
-    one_cv = isinstance(cv, numbers.Number) or (isinstance(cv, np.ndarray) and cv.ndim == 0)
-    cvs = [_check_population(c, mu_y) for c in ([cv] if one_cv else cv)]
+    one_cv = not isinstance(cv, Iterable) or isinstance(cv, (str, bytes)) or (
+        isinstance(cv, np.ndarray) and cv.ndim == 0)
+    cvs, mu_y = _check_population([cv] if one_cv else cv, mu_y)
     if not cvs:
         raise DomainError("cv must be a number or a nonempty sequence of numbers")
     runs = check_int(runs, "runs", 2)
@@ -270,7 +269,7 @@ def run_grid(
     from concurrent.futures import ThreadPoolExecutor
 
     ns = [check_int(n, "n", 2) for n in n_values]
-    cvs = tuple(_check_population(cv, mu_y) for cv in cv_values)
+    cvs, mu_y = _check_population(cv_values, mu_y)
     if not ns or not cvs:
         raise DomainError("n_values and cv_values must be nonempty")
     seeds = [derive_cell_seed(master_seed, i) for i in range(len(ns))]
@@ -290,15 +289,15 @@ def efficiency_curve(
     spacing: Literal["log", "linear"] = "log",
 ) -> list[tuple[float, float]]:
     """Large-sample efficiency sampled on a grid of log-space variances."""
-    check_positive(sigma2_min, "sigma2_min")
-    check_positive(sigma2_max, "sigma2_max")
-    if not sigma2_min < sigma2_max:
+    low = check_real(sigma2_min, "sigma2_min", positive=True)
+    high = check_real(sigma2_max, "sigma2_max", positive=True)
+    if not low < high:
         raise DomainError(f"need sigma2_min < sigma2_max, got [{sigma2_min}, {sigma2_max}]")
     points = check_int(points, "points", 2, MAX_FLOAT_ARRAY_LEN)
     if spacing == "log":
-        grid = np.geomspace(sigma2_min, sigma2_max, points)
+        grid = np.geomspace(low, high, points)
     elif spacing == "linear":
-        grid = np.linspace(sigma2_min, sigma2_max, points)
+        grid = np.linspace(low, high, points)
     else:
         raise DomainError(f"unknown spacing {spacing!r}")
-    return [(float(s2), large_sample_efficiency(float(s2))) for s2 in grid]
+    return [(s2, large_sample_efficiency(s2)) for s2 in grid.tolist()]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError, check_at_least, check_int
+from .errors import DomainError, check_int, check_real
 from .estimator import expected_k_n, var_k_n
 
 __all__ = [
@@ -71,7 +71,7 @@ def covariance_term(kind: TermKind, omega: float) -> float:
     """Covariance of one ratio-pair class as a polynomial in omega; exact when
     omega is a Fraction.  Each is written on d = omega - 1, so that a float omega
     neither cancels near 1 nor reads inf - inf where omega**4 overflows."""
-    check_at_least(omega, "omega", 1.0)
+    check_real(omega, "omega", 1.0)
     w2, d = omega * omega, omega - 1
     if kind is TermKind.SELF_PAIR:
         return w2 * d * (omega + 1)
@@ -107,7 +107,7 @@ def exact_mean_kn(n: int, omega: float) -> Fraction:
     with expectation omega: (1/n^2)(n + n(n-1) omega) - 1.
     """
     n = check_int(n, "n", 2)
-    check_at_least(omega, "omega", 1.0)
+    check_real(omega, "omega", 1.0)
     return (n + n * (n - 1) * Fraction(omega)) / (n * n) - 1
 
 
@@ -115,7 +115,7 @@ def exact_var_kn(n: int, omega: float) -> Fraction:
     """Variance of the uncorrected relative ratio by full class enumeration, as
     an exact rational at the exact value of omega."""
     n = check_int(n, "n", 2)
-    check_at_least(omega, "omega", 1.0)
+    check_real(omega, "omega", 1.0)
     w = Fraction(omega)
     return sum(term_multiplicity(kind, n) * covariance_term(kind, w) for kind in TermKind) / n**4
 
@@ -191,7 +191,7 @@ def run_verification(
     """Cross-check the enumeration oracle against the closed-form predictions,
     both evaluated exactly at n and at the exact value of each omega."""
     max_n = check_int(max_n, "max_n", 2)
-    omegas = list(omegas)
+    omegas = [(omega, check_real(omega, "omega", 1.0)) for omega in omegas]
     if not omegas:
         raise DomainError("omegas must be nonempty")
 
@@ -213,8 +213,8 @@ def run_verification(
         ("mean", exact_mean_kn, expected_k_n), ("variance", exact_var_kn, var_k_n)
     ):
         group = CheckGroup(f"{noun} agreement")
-        for n, omega in itertools.product(range(2, max_n + 1), omegas):
-            failure = f"n={n} omega={omega:g}: enumeration {noun} {{got}} vs closed form {{want}}"
+        for n, (omega, real) in itertools.product(range(2, max_n + 1), omegas):
+            failure = f"n={n} omega={real:g}: enumeration {noun} {{got}} vs closed form {{want}}"
             group.check(enumerated_fn(n, omega), closed_form(n, Fraction(omega) - 1), failure)
         groups.append(group)
     return VerificationReport(groups=groups)

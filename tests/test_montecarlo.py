@@ -307,10 +307,12 @@ class TestRunCell:
 
     def test_population_range_edges_are_accepted(self):
         # through the check run_grid and run_cell make; sampling there would overflow
-        assert montecarlo._check_population(montecarlo._CV_MAX, montecarlo._MU_Y_MAX) == (
-            montecarlo._CV_MAX
+        assert montecarlo._check_population([montecarlo._CV_MAX], montecarlo._MU_Y_MAX) == (
+            (montecarlo._CV_MAX,), montecarlo._MU_Y_MAX
         )
-        assert montecarlo._check_population(0.5, montecarlo._MU_Y_MIN) == 0.5
+        assert montecarlo._check_population([0.5], montecarlo._MU_Y_MIN) == (
+            (0.5,), montecarlo._MU_Y_MIN
+        )
 
 
 class TestGridConfig:
