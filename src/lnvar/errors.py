@@ -7,6 +7,7 @@ import numbers
 import os
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -100,6 +101,12 @@ def check_real(value: object, name: str, minimum: float = 0.0,
     if (real := float(value)) == 0.0 and positive:  # a Fraction or Decimal at most 2**-1075
         raise DomainError(f"{name} rounds to 0.0 as a float, got {_brief(value)}")
     return real
+
+
+def check_exact(value: object, name: str, minimum: float = 0.0) -> float | Fraction:
+    """check_real(value, name, minimum), or value itself when it is a Fraction."""
+    real = check_real(value, name, minimum)
+    return value if isinstance(value, Fraction) else real
 
 
 def _brief(value: object) -> str:

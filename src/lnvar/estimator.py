@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     EmptySampleError,
     SampleTooSmallError,
+    check_exact,
     check_int,
     check_real,
     check_support,
@@ -347,15 +348,14 @@ class SampleAccumulator:
 
 def expected_k_n(n: int, k: float) -> float:
     """Expected value of the uncorrected relative ratio: (n-1)/n * k; exact when k is a Fraction."""
-    n, real_k = check_int(n, "n", 2), check_real(k, "k")
-    return Fraction(n - 1, n) * (k if isinstance(k, Fraction) else real_k)
+    n, k = check_int(n, "n", 2), check_exact(k, "k")
+    return Fraction(n - 1, n) * k
 
 
 def var_k_n(n: int, k: float) -> float:
     """Variance of the uncorrected relative ratio: 2(n-1)/n^2 k^2 (1 + k + k^2/(2n)).
     Exact when k is a Fraction; otherwise in floats, as var_k_hat is."""
-    n, real_k = check_int(n, "n", 2, sys.float_info.max), check_real(k, "k")
-    k = k if isinstance(k, Fraction) else real_k
+    n, k = check_int(n, "n", 2, sys.float_info.max), check_exact(k, "k")
     # a Fraction times a float k is float(Fraction) * k, a correctly rounded int / int
     return Fraction(2 * (n - 1), n * n) * k * k * (1 + k + k * k / n / 2)
 

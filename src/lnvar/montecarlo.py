@@ -147,7 +147,7 @@ def run_cell(
 ) -> SimulationCell | list[SimulationCell]:
     """Run one simulation cell and summarize it; for an iterable of cvs, a list of cells.
 
-    A str, bytes, 0-d array or non-iterable is one cv; any other iterable is read once.
+    A str, bytes, bytearray, 0-d array or non-iterable is one cv; any other iterable is read once.
     Each run's estimate is the bias-corrected ratio k_hat; a cell reports
     its mean and sd over runs (unbiased (runs - 1) divisor) next to the
     analytic predictions cv^2 and sd_k_hat(n, cv^2).  Every cv reads the same
@@ -160,7 +160,7 @@ def run_cell(
     step; ExactSum's own, naming no cv, if only a square about the centre overflows.
     """
     n = check_int(n, "n", 2)
-    one_cv = not isinstance(cv, Iterable) or isinstance(cv, (str, bytes)) or (
+    one_cv = not isinstance(cv, Iterable) or isinstance(cv, (str, bytes, bytearray)) or (
         isinstance(cv, np.ndarray) and cv.ndim == 0)
     cvs, mu_y = _check_population([cv] if one_cv else cv, mu_y)
     if not cvs:

@@ -22,10 +22,11 @@ arithmetic, which is what makes this module a useful cross-check.  The counts
 themselves can additionally be validated against brute-force enumeration of
 index tuples.
 
-run_verification compares both sides as exact rationals, at the exact value of
-each float omega.  Both sides times n^4 are polynomials of degree <= 4 in n and
-in omega, so agreement on 5 distinct n by 5 distinct omega proves the law for
-every n >= 2 and omega >= 1 (Schwartz, J. ACM 27, 1980), as the default run does.
+run_verification compares both sides as exact rationals, at a Fraction omega or
+else at the value of omega's float.  Both sides times n^4 are polynomials of
+degree <= 4 in n and in omega, so agreement on 5 distinct n by 5 distinct omega
+proves the law for every n >= 2 and omega >= 1 (Schwartz, J. ACM 27, 1980), as
+the default run does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_exact, check_int
 from .estimator import expected_k_n, var_k_n
 
 __all__ = [
@@ -69,9 +70,9 @@ class TermKind(enum.Enum):
 
 def covariance_term(kind: TermKind, omega: float) -> float:
     """Covariance of one ratio-pair class as a polynomial in omega; exact when
-    omega is a Fraction.  Each is written on d = omega - 1, so that a float omega
-    neither cancels near 1 nor reads inf - inf where omega**4 overflows."""
-    check_real(omega, "omega", 1.0)
+    omega is a Fraction, else in omega's float.  Each is written on d = omega - 1, so
+    that a float omega neither cancels near 1 nor reads inf - inf where omega**4 overflows."""
+    omega = check_exact(omega, "omega", 1.0)
     w2, d = omega * omega, omega - 1
     if kind is TermKind.SELF_PAIR:
         return w2 * d * (omega + 1)
@@ -101,22 +102,19 @@ def term_multiplicity(kind: TermKind, n: int) -> int:
 
 def exact_mean_kn(n: int, omega: float) -> Fraction:
     """Mean of the uncorrected relative ratio assembled from pair counts, as an
-    exact rational at the exact value of omega.
+    exact rational at omega when it is a Fraction, else at its float's exact value.
 
     The double sum contributes n unit terms plus n(n-1) ratio terms each
     with expectation omega: (1/n^2)(n + n(n-1) omega) - 1.
     """
-    n = check_int(n, "n", 2)
-    check_real(omega, "omega", 1.0)
-    return (n + n * (n - 1) * Fraction(omega)) / (n * n) - 1
+    n, omega = check_int(n, "n", 2), Fraction(check_exact(omega, "omega", 1.0))
+    return (n + n * (n - 1) * omega) / (n * n) - 1
 
 
 def exact_var_kn(n: int, omega: float) -> Fraction:
     """Variance of the uncorrected relative ratio by full class enumeration, as
-    an exact rational at the exact value of omega."""
-    n = check_int(n, "n", 2)
-    check_real(omega, "omega", 1.0)
-    w = Fraction(omega)
+    an exact rational at omega when it is a Fraction, else at its float's exact value."""
+    n, w = check_int(n, "n", 2), Fraction(check_exact(omega, "omega", 1.0))
     return sum(term_multiplicity(kind, n) * covariance_term(kind, w) for kind in TermKind) / n**4
 
 
@@ -189,9 +187,9 @@ def run_verification(
     omegas: Iterable[float] = DEFAULT_OMEGAS,
 ) -> VerificationReport:
     """Cross-check the enumeration oracle against the closed-form predictions,
-    both evaluated exactly at n and at the exact value of each omega."""
+    both evaluated exactly at n and at each omega as exact_mean_kn reads it."""
     max_n = check_int(max_n, "max_n", 2)
-    omegas = [(omega, check_real(omega, "omega", 1.0)) for omega in omegas]
+    omegas = [Fraction(check_exact(omega, "omega", 1.0)) for omega in omegas]
     if not omegas:
         raise DomainError("omegas must be nonempty")
 
@@ -213,8 +211,8 @@ def run_verification(
         ("mean", exact_mean_kn, expected_k_n), ("variance", exact_var_kn, var_k_n)
     ):
         group = CheckGroup(f"{noun} agreement")
-        for n, (omega, real) in itertools.product(range(2, max_n + 1), omegas):
-            failure = f"n={n} omega={real:g}: enumeration {noun} {{got}} vs closed form {{want}}"
-            group.check(enumerated_fn(n, omega), closed_form(n, Fraction(omega) - 1), failure)
+        for n, omega in itertools.product(range(2, max_n + 1), omegas):
+            failure = f"n={n} omega={float(omega):g}: enumeration {noun} {{got}} vs closed form {{want}}"
+            group.check(enumerated_fn(n, omega), closed_form(n, omega - 1), failure)
         groups.append(group)
     return VerificationReport(groups=groups)

@@ -232,6 +232,14 @@ class TestRunCell:
     def test_a_zero_dimensional_array_is_one_cv(self):
         assert run_cell(2, np.array(0.5), 100, 1) == run_cell(2, 0.5, 100, 1)
 
+    def test_a_bytearray_is_one_cv_and_a_memoryview_the_cvs(self):
+        # a bytearray is refused as bytes is, not read as its byte values (cv = 97)
+        with pytest.raises(DomainError, match=r"^cv must be a real number, got bytearray\(b'a'\)$"):
+            run_cell(2, bytearray(b"a"), 10, 1)
+        # a memoryview of an array of cvs runs those cvs
+        cvs = memoryview(np.array([0.5, 1.0]))
+        assert run_cell(2, cvs, 100, 1) == run_cell(2, [0.5, 1.0], 100, 1)
+
     def test_any_iterable_is_read_as_the_cvs(self):
         assert run_cell(2, (c for c in (0.5, 1.0)), 100, 1) == run_cell(2, (0.5, 1.0), 100, 1)
         assert run_cell(2, {0.5}, 100, 1) == run_cell(2, [0.5], 100, 1)
@@ -315,7 +323,7 @@ class TestRunCell:
         )
 
 
-class TestGridConfig:
+class TestGridDefaults:
     def test_default_layout(self):
         assert DEFAULT_N_VALUES == (2, 10, 100)
         assert DEFAULT_CV_VALUES == (0.1, 0.5, 1.0)

@@ -1,9 +1,10 @@
 """Every real argument of the public API goes through errors.check_real.
 
 A value that is not a real number is a DomainError naming the parameter, and a
-Decimal or a Fraction computes as the equal float does.  The valid values are
-dyadic (0.5, 1.5) at n = 2, so the functions that stay exact for a Fraction
-give the same numbers as their float path.
+Decimal, a numpy float or a 0-d array computes as the equal float does, to the
+types of the result.  So does a Fraction, but for the functions that stay exact
+for one: the valid values are dyadic (0.5, 1.5) at n = 2, so those give the
+same numbers as their float path.
 """
 
 import re
@@ -101,11 +102,27 @@ def test_a_value_that_is_not_real_is_a_domain_error_naming_the_parameter(
         call(value)
 
 
-@pytest.mark.parametrize("kind", [Decimal, Fraction])
+def _types(result):
+    """The type of result, or of each of its elements for a list or tuple."""
+    return [type(x) for x in result] if isinstance(result, (list, tuple)) else type(result)
+
+
+@pytest.mark.parametrize(
+    "kind", [Decimal, Fraction, np.float64, np.array], ids=["Decimal", "Fraction", "float64", "0-d"]
+)
 @pytest.mark.parametrize("fn, param, call, valid", REAL_ARGUMENTS, ids=ARGUMENT_IDS)
-def test_a_decimal_or_fraction_gives_the_equal_floats_result(fn, param, call, valid, kind):
-    value = Decimal(str(valid)) if kind is Decimal else Fraction(valid)
-    assert call(value) == call(valid)
+def test_a_real_that_is_not_a_float_gives_the_equal_floats_result(fn, param, call, valid, kind):
+    value = Decimal(str(valid)) if kind is Decimal else kind(valid)
+    got, want = call(value), call(valid)
+    assert got == want
+    if kind is not Fraction:  # which the functions exact for a Fraction compute with
+        assert _types(got) == _types(want)
+
+
+def test_the_exact_functions_read_a_decimal_as_its_float():
+    # not at the decimal's exact value, 11/10, where the float 1.1 is a little less
+    assert exact_mean_kn(2, Decimal("1.1")) == exact_mean_kn(2, 1.1) != Fraction(1, 20)
+    assert exact_var_kn(3, Decimal("1.1")) == exact_var_kn(3, 1.1)
 
 
 def test_check_real_contract():
